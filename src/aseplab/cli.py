@@ -231,6 +231,7 @@ def cmd_simulate(parser, args):
     _require(parser, args.replicas >= 1, "--replicas must be >= 1")
     _require(parser, args.d >= 0, "--d must be >= 0")
     _require(parser, args.T >= 0, "--T must be >= 0")
+    _require(parser, args.probes >= 0, "--probes must be >= 0")
     p = AsepParams(q=args.q, c=args.c)
     try:
         rep = run_ensemble(

@@ -15,7 +15,10 @@ near enough to the edge for that truncation to matter instead of assuming
 it never does.
 """
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 import itertools
 import math
 
@@ -24,6 +27,7 @@ import numpy as np
 from .blocking import (
     RelationCheck,
     WindowState,
+    _log1p_qpow,
     marginal,
     prob_left_particles,
     prob_window_particles,
@@ -61,26 +65,38 @@ def as_labels(x):
 
 @dataclass
 class CoupledState:
+    """Mutable engine state of the coupled chain.
+
+    The occupancies live in the bytearray `occ`; `xi.bits` is a numpy view
+    of that same buffer.  Construction copies the given window in, so the
+    caller's WindowState is never touched.  `occupied` lists the occupied
+    sites in increasing order.  Change the state only through
+    apply_transition, which keeps `occ`, `occupied` and `labels` consistent.
+    """
+
     xi: WindowState
     labels: tuple
+    occ: bytearray = field(init=False, repr=False)
+    occupied: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.labels = as_labels(self.labels)
-        if self.labels and self.labels[-1] >= self.xi.particle_count():
+        lo, hi = self.xi.lo, self.xi.hi
+        self.occ = bytearray(self.xi.bits.tobytes())
+        self.xi = WindowState(lo, hi, np.frombuffer(self.occ, dtype=np.uint8))
+        self.occupied = [lo + i for i, b in enumerate(self.occ) if b]
+        if self.labels and self.labels[-1] >= len(self.occupied):
             raise LabelOutOfRange(
                 f"label {self.labels[-1]} but only "
-                f"{self.xi.particle_count()} particles in window"
+                f"{len(self.occupied)} particles in window"
             )
 
     @property
     def d(self):
         return len(self.labels)
 
-    def particle_sites(self):
-        return self.xi.sites[self.xi.bits == 1]
-
     def copy(self):
-        return CoupledState(xi=self.xi.copy(), labels=self.labels)
+        return CoupledState(xi=self.xi, labels=self.labels)
 
 
 @dataclass(frozen=True)
@@ -101,6 +117,47 @@ class EventRecord:
     step: int
 
 
+def _moves(s, q):
+    """Codes (kind, idx, step) and rates of every enabled move, in the fixed
+    order the draw relies on: particle hops by bond from left to right,
+    then label swaps by slot, right swap before left swap.
+
+    A particle hop is enabled exactly at a domain wall, a bond joining a
+    particle and a hole, so the walk jumps from wall to wall with
+    bytearray.find.  All walls lie in the active span from the first
+    particle - 1 to the last hole (sites left of it are empty, sites right
+    of it occupied); in the packed ground state that span is the single
+    bond where the first particle sits at last hole + 1.
+    """
+    occ, lo = s.occ, s.xi.lo
+    codes, rates = [], []
+    v = occ[0]
+    k = occ.find(v ^ 1, 1)
+    while k >= 0:  # bond (k-1, k) joins a v and a 1-v
+        if v:
+            codes.append(("particle", lo + k - 1, 1))
+            rates.append(1.0)
+        else:
+            codes.append(("particle", lo + k, -1))
+            rates.append(q)
+        v ^= 1
+        k = occ.find(v ^ 1, k + 1)
+    labels = s.labels
+    if labels:
+        occupied = s.occupied
+        n_part = len(occupied)
+        for slot, x in enumerate(labels):
+            right = x + 1
+            if right < n_part and right not in labels and occupied[right] == occupied[x] + 1:
+                codes.append(("label", slot, 1))
+                rates.append(q)
+            left = x - 1
+            if left >= 0 and left not in labels and occupied[left] == occupied[x] - 1:
+                codes.append(("label", slot, -1))
+                rates.append(1.0)
+    return codes, rates
+
+
 def enabled_transitions(s, p):
     """All currently possible moves with their rates.
 
@@ -109,76 +166,55 @@ def enabled_transitions(s, p):
     unlabeled; swaps whose partner particle lies outside the window are
     dropped with the boundary (the contamination monitor accounts for them).
     """
-    q = p.q
-    xi = s.xi
-    bits = xi.bits
-    out = []
-    for j in range(xi.width - 1):
-        a, b = bits[j], bits[j + 1]
-        if a == 1 and b == 0:
-            out.append((Transition("particle", xi.lo + j, 1), 1.0))
-        elif a == 0 and b == 1:
-            out.append((Transition("particle", xi.lo + j + 1, -1), q))
-    if s.labels:
-        pos = np.flatnonzero(bits) + xi.lo
-        n_part = len(pos)
-        label_set = set(s.labels)
-        for slot, x in enumerate(s.labels):
-            right = x + 1
-            if right < n_part and right not in label_set and pos[right] == pos[x] + 1:
-                out.append((Transition("label", slot, 1), q))
-            left = x - 1
-            if left >= 0 and left not in label_set and pos[left] == pos[x] - 1:
-                out.append((Transition("label", slot, -1), 1.0))
-    return out
+    codes, rates = _moves(s, p.q)
+    return [(Transition(*code), r) for code, r in zip(codes, rates)]
 
 
 def apply_transition(s, tr):
-    """Apply one move, returning a fresh CoupledState."""
+    """Apply one move to s in place and return s."""
     if tr.kind == "particle":
-        xi = s.xi.copy()
-        i = tr.idx - xi.lo
-        xi.bits[i] = 0
-        xi.bits[i + tr.step] = 1
-        return CoupledState(xi=xi, labels=s.labels)
-    labels = list(s.labels)
-    labels[tr.idx] += tr.step
-    return CoupledState(xi=s.xi, labels=tuple(labels))
+        i = tr.idx - s.xi.lo
+        s.occ[i] = 0
+        s.occ[i + tr.step] = 1
+        # a hop into an adjacent hole keeps the particle's rank
+        s.occupied[bisect_left(s.occupied, tr.idx)] = tr.idx + tr.step
+    else:
+        labels = list(s.labels)
+        labels[tr.idx] += tr.step
+        s.labels = tuple(labels)
+    return s
 
 
 def choose_transition(s, p, rng):
     """Exponential holding time at the total rate, then a transition drawn
     proportionally to its rate.  Draw order is fixed (holding time first)
     so trajectories are seed-reproducible."""
-    trans = enabled_transitions(s, p)
-    total = sum(r for _, r in trans)
+    codes, rates = _moves(s, p.q)
+    total = sum(rates)
     if total <= 0.0:
         raise AbsorbingState("no enabled transitions")
     dt = rng.exponential(1.0 / total)
     u = rng.random() * total
-    acc = 0.0
-    chosen = trans[-1][0]
-    for tr, r in trans:
-        acc += r
-        if u < acc:
-            chosen = tr
-            break
-    return chosen, dt
+    # first move whose running rate sum exceeds u; the last if rounding
+    # leaves u at or above every partial sum
+    i = bisect_right(list(itertools.accumulate(rates)), u)
+    return Transition(*codes[min(i, len(codes) - 1)]), dt
 
 
 def gillespie_step(s, p, rng):
-    """One exact continuous-time step of the coupled chain."""
+    """One exact continuous-time step of the coupled chain.  Unlike
+    apply_transition it leaves s unchanged and returns a new state."""
     tr, dt = choose_transition(s, p, rng)
-    return apply_transition(s, tr), dt
+    return apply_transition(s.copy(), tr), dt
 
 
 def second_class_positions(s):
     """Sites of the labeled particles: label x picks the (x+1)-th particle
     from the left."""
-    pos = s.particle_sites()
-    if s.labels and s.labels[-1] >= len(pos):
+    occupied = s.occupied
+    if s.labels and s.labels[-1] >= len(occupied):
         raise LabelOutOfRange("labels exceed particles present")
-    return tuple(int(pos[x]) for x in s.labels)
+    return tuple(map(occupied.__getitem__, s.labels))
 
 
 def labels_from_positions(xi, X):
@@ -248,13 +284,6 @@ def sample_pi(d, q, rng):
         cur += 1 + gap
         x.append(cur)
     return tuple(x)
-
-
-def _log1p_qpow(x, lq):
-    u = x * lq
-    if u > 0:
-        return u + math.log1p(math.exp(-u))
-    return math.log1p(math.exp(u))
 
 
 def prob_second_class_at(m, p, d):
@@ -523,6 +552,14 @@ def _empty_report(lo, hi, d, p, T, probe_times):
     )
 
 
+def _conserved_N_rows(rows, lo, hi):
+    """WindowState.conserved_N of every row of a (probes, width) 0/1 array."""
+    sites = np.arange(lo, hi + 1)
+    holes_right = (rows[:, sites >= 1] == 0).sum(axis=1)
+    parts_left = rows[:, sites <= 0].sum(axis=1, dtype=np.int64)
+    return holes_right + max(lo - 1, 0) - parts_left - max(-hi, 0)
+
+
 def simulate_stationary(
     p,
     d,
@@ -559,53 +596,56 @@ def simulate_stationary(
         rep.event_log = []
 
     n_probes = len(probe_times)
-    xi_acc = np.zeros(rep.width)
-    eta_acc = np.zeros(rep.width)
-    x_local = {}
-    label_local = {}
+    occ = state.occ
+    xi_snaps, x_seen, labels_seen = [], [], []
 
-    def record(idx):
-        bits = state.xi.bits
-        rep.xi_probe_occ[idx] += bits
-        xi_acc[:] += bits
-        X = second_class_positions(state) if d else ()
-        eta = eta_from(state) if d else state.xi
-        rep.eta_probe_occ[idx] += eta.bits
-        eta_acc[:] += eta.bits
-        rep.total_probes += 1
+    def record():
+        xi_snaps.append(bytes(occ))
         if d:
-            x_local[X] = x_local.get(X, 0) + 1
-            label_local[state.labels] = label_local.get(state.labels, 0) + 1
-            if X[0] < lo + margin or X[-1] > hi - margin:
-                rep.contaminated_probes += 1
-        if state.xi.conserved_N() != eta.conserved_N() - d:
-            rep.N_violations += 1
+            x_seen.append(second_class_positions(state))
+            labels_seen.append(state.labels)
 
-    record(0)
+    record()
     idx = 1
     t = 0.0
     while idx < n_probes:
         tr, dt = choose_transition(state, p, rng)
         t_next = t + dt
         while idx < n_probes and probe_times[idx] <= t_next:
-            record(idx)
+            record()
             idx += 1
         if keep_log:
             rep.event_log.append(EventRecord(t_next, tr.kind, tr.idx, tr.step))
-        state = apply_transition(state, tr)
+        apply_transition(state, tr)
         t = t_next
         rep.n_events += 1
 
-    rep.xi_mean_sum += xi_acc / n_probes
-    rep.xi_mean_sumsq += (xi_acc / n_probes) ** 2
-    rep.eta_mean_sum += eta_acc / n_probes
-    rep.eta_mean_sumsq += (eta_acc / n_probes) ** 2
-    for key, cnt in x_local.items():
+    # one row per probe, in probe order; eta drops the labeled particles
+    xi_rows = np.frombuffer(b"".join(xi_snaps), dtype=np.uint8).reshape(n_probes, -1)
+    eta_rows = xi_rows.copy()
+    if d:
+        eta_rows[np.arange(n_probes)[:, None], np.array(x_seen) - lo] = 0
+    rep.xi_probe_occ += xi_rows
+    rep.eta_probe_occ += eta_rows
+    rep.total_probes += n_probes
+    rep.contaminated_probes += sum(
+        X[0] < lo + margin or X[-1] > hi - margin for X in x_seen
+    )
+    rep.N_violations += int(
+        (_conserved_N_rows(xi_rows, lo, hi) != _conserved_N_rows(eta_rows, lo, hi) - d).sum()
+    )
+    xi_mean = xi_rows.sum(axis=0) / n_probes
+    eta_mean = eta_rows.sum(axis=0) / n_probes
+    rep.xi_mean_sum += xi_mean
+    rep.xi_mean_sumsq += xi_mean ** 2
+    rep.eta_mean_sum += eta_mean
+    rep.eta_mean_sumsq += eta_mean ** 2
+    for key, cnt in Counter(x_seen).items():
         f = cnt / n_probes
         rep.x_counts[key] = rep.x_counts.get(key, 0) + cnt
         rep.x_freq_sum[key] = rep.x_freq_sum.get(key, 0.0) + f
         rep.x_freq_sumsq[key] = rep.x_freq_sumsq.get(key, 0.0) + f * f
-    for key, cnt in label_local.items():
+    for key, cnt in Counter(labels_seen).items():
         f = cnt / n_probes
         rep.label_counts[key] = rep.label_counts.get(key, 0) + cnt
         rep.label_freq_sum[key] = rep.label_freq_sum.get(key, 0.0) + f
@@ -642,8 +682,9 @@ def run_ensemble(
     max_contamination=None,
     workers=1,
 ):
-    """Independent replicas with per-replica RNG streams, merged in replica
-    order so the result does not depend on scheduling."""
+    """Independent replicas with per-replica RNG streams, folded into one
+    report in replica order as they arrive, so the result does not depend
+    on scheduling and no more than the reports in flight are held."""
     if replicas < 1:
         raise ValueError("need at least one replica")
 
@@ -665,12 +706,9 @@ def run_ensemble(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, range(replicas)))
+            merged = reduce(SimulationReport.merge, ex.map(one, range(replicas)))
     else:
-        results = [one(i) for i in range(replicas)]
-    merged = results[0]
-    for rep in results[1:]:
-        merged.merge(rep)
+        merged = reduce(SimulationReport.merge, map(one, range(replicas)))
     if (
         max_contamination is not None
         and merged.contamination_fraction > max_contamination

@@ -146,6 +146,12 @@ class TestSimulateCommand:
             ["simulate", "--q", "0.5", "--window=-20:20", "--replicas", "0"]
         ) == 2
 
+    def test_negative_probes_usage_error(self, capsys):
+        assert main(
+            ["simulate", "--q", "0.5", "--window=-20:20", "--probes", "-1"]
+        ) == 2
+        assert "--probes must be >= 0" in capsys.readouterr().err
+
     def test_json_schema(self, tmp_path):
         code, doc = run_json(SIM_ARGS, tmp_path)
         assert code == 0

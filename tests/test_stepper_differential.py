@@ -1,0 +1,329 @@
+"""Differential test of the in-place Gillespie stepper.
+
+The oracle below is the earlier per-event stepper, kept verbatim: it
+rescans every bond, builds a Transition for every enabled move and copies
+the whole state on each event.  The package's stepper must reproduce it
+exactly -- same enabled moves in the same order, same draws, same event
+log and the same report, field by field -- and keep its ordered list of
+occupied sites equal to the occupancy bits after every step.
+"""
+
+from dataclasses import dataclass, fields
+
+import numpy as np
+import pytest
+
+from aseplab.blocking import AsepParams, WindowState, sample_blocking
+from aseplab.coupling import (
+    AbsorbingState,
+    CoupledState,
+    EventRecord,
+    LabelOutOfRange,
+    Transition,
+    _conserved_N_rows,
+    _empty_report,
+    apply_transition,
+    as_labels,
+    choose_transition,
+    enabled_transitions,
+    gillespie_step,
+    sample_pi,
+    simulate_stationary,
+)
+
+# ------------------------------------------------------------------ oracle
+
+
+@dataclass
+class OracleState:
+    xi: WindowState
+    labels: tuple
+
+    def __post_init__(self):
+        self.labels = as_labels(self.labels)
+        if self.labels and self.labels[-1] >= self.xi.particle_count():
+            raise LabelOutOfRange(
+                f"label {self.labels[-1]} but only "
+                f"{self.xi.particle_count()} particles in window"
+            )
+
+    @property
+    def d(self):
+        return len(self.labels)
+
+    def particle_sites(self):
+        return self.xi.sites[self.xi.bits == 1]
+
+    def copy(self):
+        return OracleState(xi=self.xi.copy(), labels=self.labels)
+
+
+def oracle_enabled_transitions(s, p):
+    q = p.q
+    xi = s.xi
+    bits = xi.bits
+    out = []
+    for j in range(xi.width - 1):
+        a, b = bits[j], bits[j + 1]
+        if a == 1 and b == 0:
+            out.append((Transition("particle", xi.lo + j, 1), 1.0))
+        elif a == 0 and b == 1:
+            out.append((Transition("particle", xi.lo + j + 1, -1), q))
+    if s.labels:
+        pos = np.flatnonzero(bits) + xi.lo
+        n_part = len(pos)
+        label_set = set(s.labels)
+        for slot, x in enumerate(s.labels):
+            right = x + 1
+            if right < n_part and right not in label_set and pos[right] == pos[x] + 1:
+                out.append((Transition("label", slot, 1), q))
+            left = x - 1
+            if left >= 0 and left not in label_set and pos[left] == pos[x] - 1:
+                out.append((Transition("label", slot, -1), 1.0))
+    return out
+
+
+def oracle_apply_transition(s, tr):
+    if tr.kind == "particle":
+        xi = s.xi.copy()
+        i = tr.idx - xi.lo
+        xi.bits[i] = 0
+        xi.bits[i + tr.step] = 1
+        return OracleState(xi=xi, labels=s.labels)
+    labels = list(s.labels)
+    labels[tr.idx] += tr.step
+    return OracleState(xi=s.xi, labels=tuple(labels))
+
+
+def oracle_choose_transition(s, p, rng):
+    trans = oracle_enabled_transitions(s, p)
+    total = sum(r for _, r in trans)
+    if total <= 0.0:
+        raise AbsorbingState("no enabled transitions")
+    dt = rng.exponential(1.0 / total)
+    u = rng.random() * total
+    acc = 0.0
+    chosen = trans[-1][0]
+    for tr, r in trans:
+        acc += r
+        if u < acc:
+            chosen = tr
+            break
+    return chosen, dt
+
+
+def oracle_second_class_positions(s):
+    pos = s.particle_sites()
+    if s.labels and s.labels[-1] >= len(pos):
+        raise LabelOutOfRange("labels exceed particles present")
+    return tuple(int(pos[x]) for x in s.labels)
+
+
+def oracle_eta_from(s):
+    eta = s.xi.copy()
+    for site in oracle_second_class_positions(s):
+        eta.bits[site - eta.lo] = 0
+    return eta
+
+
+def oracle_simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin=5):
+    lo, hi = window
+    xi = sample_blocking(window, p, rng, eps=eps)
+    labels = sample_pi(d, p.q, rng)
+    state = OracleState(xi=xi, labels=labels)
+
+    if T > 0 and probes >= 1:
+        probe_times = [0.0] + [i * T / probes for i in range(1, probes + 1)]
+    else:
+        probe_times = [0.0]
+    rep = _empty_report(lo, hi, d, p, T, probe_times)
+    rep.n_replicas = 1
+    rep.event_log = []
+
+    n_probes = len(probe_times)
+    xi_acc = np.zeros(rep.width)
+    eta_acc = np.zeros(rep.width)
+    x_local = {}
+    label_local = {}
+
+    def record(idx):
+        bits = state.xi.bits
+        rep.xi_probe_occ[idx] += bits
+        xi_acc[:] += bits
+        X = oracle_second_class_positions(state) if d else ()
+        eta = oracle_eta_from(state) if d else state.xi
+        rep.eta_probe_occ[idx] += eta.bits
+        eta_acc[:] += eta.bits
+        rep.total_probes += 1
+        if d:
+            x_local[X] = x_local.get(X, 0) + 1
+            label_local[state.labels] = label_local.get(state.labels, 0) + 1
+            if X[0] < lo + margin or X[-1] > hi - margin:
+                rep.contaminated_probes += 1
+        if state.xi.conserved_N() != eta.conserved_N() - d:
+            rep.N_violations += 1
+
+    record(0)
+    idx = 1
+    t = 0.0
+    while idx < n_probes:
+        tr, dt = oracle_choose_transition(state, p, rng)
+        t_next = t + dt
+        while idx < n_probes and probe_times[idx] <= t_next:
+            record(idx)
+            idx += 1
+        rep.event_log.append(EventRecord(t_next, tr.kind, tr.idx, tr.step))
+        state = oracle_apply_transition(state, tr)
+        t = t_next
+        rep.n_events += 1
+
+    rep.xi_mean_sum += xi_acc / n_probes
+    rep.xi_mean_sumsq += (xi_acc / n_probes) ** 2
+    rep.eta_mean_sum += eta_acc / n_probes
+    rep.eta_mean_sumsq += (eta_acc / n_probes) ** 2
+    for key, cnt in x_local.items():
+        f = cnt / n_probes
+        rep.x_counts[key] = rep.x_counts.get(key, 0) + cnt
+        rep.x_freq_sum[key] = rep.x_freq_sum.get(key, 0.0) + f
+        rep.x_freq_sumsq[key] = rep.x_freq_sumsq.get(key, 0.0) + f * f
+    for key, cnt in label_local.items():
+        f = cnt / n_probes
+        rep.label_counts[key] = rep.label_counts.get(key, 0) + cnt
+        rep.label_freq_sum[key] = rep.label_freq_sum.get(key, 0.0) + f
+        rep.label_freq_sumsq[key] = rep.label_freq_sumsq.get(key, 0.0) + f * f
+    return rep
+
+
+# ------------------------------------------------------------------- tests
+
+CS = (0.0, 0.3, -1.7)
+# A loose boundary tolerance keeps the windows narrow and the frozen edges
+# busy, so hops against the boundary are exercised too.  Wider windows at
+# larger q hold enough particles for three labels.
+WINDOWS = {0.1: (-8, 8), 0.5: (-12, 12), 0.7: (-16, 16), 0.9: (-30, 30)}
+EPS = 0.45
+
+
+def assert_consistent(s):
+    assert s.occupied == (np.flatnonzero(s.xi.bits) + s.xi.lo).tolist()
+    assert bytes(s.xi.bits) == bytes(s.occ)
+
+
+def assert_same_report(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def lockstep(s, o, p, seed, steps):
+    """Step the in-place state s and the oracle state o from one seed,
+    comparing the enabled moves, the draw and the state after each event."""
+    rng_s, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(steps):
+        assert enabled_transitions(s, p) == oracle_enabled_transitions(o, p)
+        tr, dt = choose_transition(s, p, rng_s)
+        assert (tr, dt) == oracle_choose_transition(o, p, rng_o)
+        assert apply_transition(s, tr) is s
+        o = oracle_apply_transition(o, tr)
+        assert s.labels == o.labels
+        assert np.array_equal(s.xi.bits, o.xi.bits)
+        assert_consistent(s)
+
+
+@pytest.mark.parametrize("q", sorted(WINDOWS))
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_replicas_match_oracle(q, d):
+    compared = 0
+    for c in CS:
+        p = AsepParams(q=q, c=c)
+        for seed in (1, 2, 3):
+            kw = dict(probes=15, eps=EPS, margin=3)
+            try:
+                want = oracle_simulate_stationary(
+                    p, d, WINDOWS[q], 4.0, np.random.default_rng([seed, d]), **kw
+                )
+            except LabelOutOfRange:  # the pi sample outranks the particles
+                with pytest.raises(LabelOutOfRange):
+                    simulate_stationary(
+                        p, d, WINDOWS[q], 4.0, np.random.default_rng([seed, d]), **kw
+                    )
+                continue
+            got = simulate_stationary(
+                p, d, WINDOWS[q], 4.0, np.random.default_rng([seed, d]),
+                keep_log=True, **kw
+            )
+            assert got.n_events > 0
+            assert got.event_log == want.event_log
+            assert_same_report(got, want)
+            compared += 1
+    assert compared >= 6
+
+
+@pytest.mark.parametrize("q", sorted(WINDOWS))
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_steps_match_oracle(q, d):
+    for c, seed in zip(CS, (11, 12, 13)):
+        p = AsepParams(q=q, c=c)
+        rng = np.random.default_rng(seed)
+        xi = sample_blocking(WINDOWS[q], p, rng, eps=EPS)
+        labels = tuple(range(0, 2 * d, 2))  # every other particle from the left
+        s = CoupledState(xi=xi, labels=labels)
+        assert_consistent(s)
+        lockstep(s, OracleState(xi=xi.copy(), labels=labels), p, seed, 300)
+
+
+@pytest.mark.parametrize("labels", [(), (0,), (1, 3), (0, 1, 4)])
+def test_packed_ground_state(labels):
+    # first particle at last hole + 1: the one live bond is the interface
+    bits = np.array([0] * 6 + [1] * 5, dtype=np.uint8)
+    xi = WindowState(lo=-5, hi=5, bits=bits)
+    s = CoupledState(xi=xi, labels=labels)
+    o = OracleState(xi=xi.copy(), labels=labels)
+    moves = enabled_transitions(s, AsepParams(q=0.5))
+    assert moves[0] == (Transition("particle", 1, -1), 0.5)
+    assert moves == oracle_enabled_transitions(o, AsepParams(q=0.5))
+    lockstep(s, o, AsepParams(q=0.5), 4, 100)
+
+
+@pytest.mark.parametrize("lo,hi", [(-4, 3), (2, 2), (-1, 0)])
+@pytest.mark.parametrize("fill", [0, 1])
+def test_empty_and_full_windows_absorb(lo, hi, fill):
+    bits = np.full(hi - lo + 1, fill, dtype=np.uint8)
+    s = CoupledState(xi=WindowState(lo=lo, hi=hi, bits=bits), labels=())
+    o = OracleState(xi=WindowState(lo=lo, hi=hi, bits=bits.copy()), labels=())
+    p = AsepParams(q=0.5)
+    assert enabled_transitions(s, p) == oracle_enabled_transitions(o, p) == []
+    with pytest.raises(AbsorbingState):
+        choose_transition(s, p, np.random.default_rng(0))
+    with pytest.raises(AbsorbingState):
+        oracle_choose_transition(o, p, np.random.default_rng(0))
+    with pytest.raises(AbsorbingState):
+        gillespie_step(s, p, np.random.default_rng(0))
+
+
+def test_full_window_moves_only_labels():
+    bits = np.ones(6, dtype=np.uint8)
+    xi = WindowState(lo=-2, hi=3, bits=bits)
+    s = CoupledState(xi=xi, labels=(1, 4))
+    o = OracleState(xi=xi.copy(), labels=(1, 4))
+    assert {tr.kind for tr, _ in enabled_transitions(s, AsepParams(q=0.5))} == {"label"}
+    lockstep(s, o, AsepParams(q=0.5), 6, 100)
+
+
+def test_construction_copies_the_window():
+    xi = WindowState(lo=-3, hi=4, bits=np.array([0, 1, 1, 0, 1, 0, 1, 1]))
+    s = CoupledState(xi=xi, labels=(1,))
+    apply_transition(s, Transition("particle", -1, 1))
+    assert xi.bits.tolist() == [0, 1, 1, 0, 1, 0, 1, 1]
+    assert s.xi.bits.tolist() == [0, 1, 0, 1, 1, 0, 1, 1]
+    assert_consistent(s)
+
+
+@pytest.mark.parametrize("lo,hi", [(-6, 5), (3, 9), (-9, -2), (0, 0)])
+def test_conserved_N_rows_matches_window_state(lo, hi):
+    rows = (np.random.default_rng(lo + 100).random((40, hi - lo + 1)) < 0.5).astype(np.uint8)
+    want = [WindowState(lo, hi, row).conserved_N() for row in rows]
+    assert _conserved_N_rows(rows, lo, hi).tolist() == want

@@ -30,7 +30,8 @@ from .coupling import (
     prob_second_class_at,
     run_ensemble,
 )
-from .qseries import DEFAULT_POLICY, q_pascal_check
+from .partitions import ENUMERATION_CAP
+from .qseries import DEFAULT_POLICY, TruncationNotConverged, q_pascal_check
 from .verify import (
     verify_durfee,
     verify_durfee_exact,
@@ -144,6 +145,10 @@ def _require(parser, cond, msg):
 
 
 def cmd_verify(parser, args):
+    _require(parser, 0 <= args.N <= ENUMERATION_CAP,
+             f"--N must lie in 0..{ENUMERATION_CAP}")
+    _require(parser, args.K >= 0, "--K must be >= 0")
+    _require(parser, args.m >= 0, "--m must be >= 0")
     rows = []
     header = [
         "identity",
@@ -245,7 +250,6 @@ def cmd_simulate(parser, args):
             eps=args.window_eps,
             margin=args.margin,
             max_contamination=args.max_contamination,
-            workers=args.workers,
         )
     except BoundaryContamination as e:
         print(f"boundary contamination: {e}", file=sys.stderr)
@@ -254,43 +258,29 @@ def cmd_simulate(parser, args):
     header = ["table", "key", "count", "empirical", "sem", "analytic", "z"]
     rows = []
 
-    def z_of(mean, sem, target):
-        if sem > 0:
-            return (mean - target) / sem
-        return None
+    def add(table, key, count, mean, sem, analytic):
+        mean, sem = float(mean), float(sem)
+        z = (mean - analytic) / sem if sem > 0 else None
+        rows.append([table, key, count, mean, sem, analytic, z])
 
-    mean, sem = rep.xi_site_stats()
-    for j, site in enumerate(rep.sites):
-        t = marginal(int(site), 1, p)
-        rows.append(
-            ["xi_site", str(site), None, float(mean[j]), float(sem[j]), t,
-             z_of(float(mean[j]), float(sem[j]), t)]
-        )
-    pe = AsepParams(q=p.q, c=p.c + rep.d)
-    mean, sem = rep.eta_site_stats()
-    for j, site in enumerate(rep.sites):
-        t = marginal(int(site), 1, pe)
-        rows.append(
-            ["eta_site", str(site), None, float(mean[j]), float(sem[j]), t,
-             z_of(float(mean[j]), float(sem[j]), t)]
-        )
+    # eta, xi without its d labeled particles, is blocking with c raised by d
+    for table, (mean, sem), law in (
+        ("xi_site", rep.xi_site_stats(), p),
+        ("eta_site", rep.eta_site_stats(), AsepParams(q=p.q, c=p.c + rep.d)),
+    ):
+        for j, site in enumerate(rep.sites):
+            add(table, str(site), None, mean[j], sem[j], marginal(int(site), 1, law))
     if rep.d:
         freq = rep.x_freq_stats()
         for key in sorted(rep.x_counts):
             m, s = freq[key]
-            t = prob_positions(key, p)
-            rows.append(
-                ["x", ",".join(map(str, key)), rep.x_counts[key],
-                 float(m), float(s), t, z_of(float(m), float(s), t)]
-            )
-        lfreq = rep.label_freq_stats()
+            add("x", ",".join(map(str, key)), rep.x_counts[key], m, s,
+                prob_positions(key, p))
+        freq = rep.label_freq_stats()
         for key in sorted(rep.label_counts):
-            m, s = lfreq[key]
-            t = pi_label(key, p.q)
-            rows.append(
-                ["label", ",".join(map(str, key)), rep.label_counts[key],
-                 float(m), float(s), t, z_of(float(m), float(s), t)]
-            )
+            m, s = freq[key]
+            add("label", ",".join(map(str, key)), rep.label_counts[key], m, s,
+                pi_label(key, p.q))
 
     meta = _meta(args, rep.meta())
     meta["contamination_fraction"] = rep.contamination_fraction
@@ -305,6 +295,11 @@ def cmd_dist(parser, args):
     p = AsepParams(q=args.q, c=args.c)
     rows = []
     header = ["key", "prob"]
+    if args.law in ("left-particles", "right-holes"):
+        _require(parser, args.m is not None and args.m[0] == args.m[1],
+                 "--m must be a single site")
+    if args.law in ("second-class", "positions", "pi"):
+        _require(parser, args.d >= 1, "--d must be >= 1")
 
     if args.law == "N":
         span = args.n or (-10, 10)
@@ -313,16 +308,11 @@ def cmd_dist(parser, args):
             pr = prob_N(n, p)
             ratio = pr / prob_N(n - 1, p)
             rows.append([str(n), pr, ratio, p.q ** (n - p.c)])
-        total = sum(r[1] for r in rows)
-        rows.append(["sum", total, None, None])
     elif args.law == "left-particles":
-        _require(parser, args.m is not None and args.m[0] == args.m[1],
-                 "--m must be a single site")
         span = args.k or (0, 20)
         _require(parser, span[0] >= 0, "k must be >= 0")
         for k in range(span[0], span[1] + 1):
             rows.append([str(k), prob_left_particles(args.m[0], k, p)])
-        rows.append(["sum", sum(r[1] for r in rows)])
     elif args.law == "window-particles":
         _require(parser, args.m1 is not None and args.m2 is not None,
                  "--m1 and --m2 are required")
@@ -333,33 +323,26 @@ def cmd_dist(parser, args):
                  f"k must lie in 0..{mhat}")
         for k in range(span[0], span[1] + 1):
             rows.append([str(k), prob_window_particles(args.m1, args.m2, k, p)])
-        rows.append(["sum", sum(r[1] for r in rows)])
     elif args.law == "right-holes":
-        _require(parser, args.m is not None and args.m[0] == args.m[1],
-                 "--m must be a single site")
         span = args.n or (0, 20)
         _require(parser, span[0] >= 0, "n must be >= 0")
         for n in range(span[0], span[1] + 1):
             rows.append([str(n), prob_right_holes(args.m[0], n, p)])
-        rows.append(["sum", sum(r[1] for r in rows)])
     elif args.law == "second-class":
-        _require(parser, args.d >= 1, "--d must be >= 1")
         span = args.m or (-10, 10)
         for m in range(span[0], span[1] + 1):
             rows.append([str(m), prob_second_class_at(m, p, args.d)])
-        rows.append(["sum", sum(r[1] for r in rows)])
     elif args.law == "positions":
-        _require(parser, args.d >= 1, "--d must be >= 1")
         span = args.m or (-8, 8)
         sites = range(span[0], span[1] + 1)
+        _require(parser, len(sites) >= args.d, "--m must span at least d sites")
         for tup in itertools.combinations(sites, args.d):
             rows.append([",".join(map(str, tup)), prob_positions(tup, p, args.d)])
-        rows.append(["sum", sum(r[1] for r in rows)])
     elif args.law == "pi":
-        _require(parser, args.d >= 1, "--d must be >= 1")
+        _require(parser, args.cap >= args.d - 1, "--cap must be >= d - 1")
         for tup in itertools.combinations(range(args.cap + 1), args.d):
             rows.append([",".join(map(str, tup)), pi_label(tup, p.q)])
-        rows.append(["sum", sum(r[1] for r in rows)])
+    rows.append(["sum", sum(r[1] for r in rows)] + [None] * (len(header) - 2))
 
     meta = _meta(args, {"law": args.law})
     _emit(args, meta, header, rows)
@@ -413,7 +396,6 @@ def build_parser():
     sp.add_argument("--margin", type=int, default=5)
     sp.add_argument("--max-contamination", dest="max_contamination",
                     type=float, default=None)
-    sp.add_argument("--workers", type=int, default=1)
     common(sp)
 
     sp = sub.add_parser("dist", help="tabulate a closed-form law")
@@ -460,7 +442,8 @@ def main(argv=None):
             return cmd_dist(parser, args)
     except SystemExit as e:  # parser.error inside handlers
         return int(e.code or 0)
-    except (ValueError, WindowTooNarrow) as e:
+    except (ValueError, WindowTooNarrow, TruncationNotConverged,
+            OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 2

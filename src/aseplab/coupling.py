@@ -17,10 +17,11 @@ it never does.
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -473,62 +474,38 @@ class SimulationReport:
     def eta_site_stats(self):
         return mean_and_sem(self.eta_mean_sum, self.eta_mean_sumsq, self.n_replicas)
 
+    def _freq_stats(self, freq_sum, freq_sumsq):
+        return {
+            key: mean_and_sem(total, freq_sumsq.get(key, 0.0), self.n_replicas)
+            for key, total in freq_sum.items()
+        }
+
     def x_freq_stats(self):
-        out = {}
-        for key in self.x_freq_sum:
-            out[key] = mean_and_sem(
-                self.x_freq_sum[key], self.x_freq_sumsq.get(key, 0.0), self.n_replicas
-            )
-        return out
+        return self._freq_stats(self.x_freq_sum, self.x_freq_sumsq)
 
     def label_freq_stats(self):
-        out = {}
-        for key in self.label_freq_sum:
-            out[key] = mean_and_sem(
-                self.label_freq_sum[key],
-                self.label_freq_sumsq.get(key, 0.0),
-                self.n_replicas,
-            )
-        return out
-
-    def _same_layout(self, other):
-        return (
-            (self.lo, self.hi, self.d, self.q, self.c, self.T, self.probe_times)
-            == (
-                other.lo,
-                other.hi,
-                other.d,
-                other.q,
-                other.c,
-                other.T,
-                other.probe_times,
-            )
-        )
+        return self._freq_stats(self.label_freq_sum, self.label_freq_sumsq)
 
     def merge(self, other):
-        if not self._same_layout(other):
+        """Add other's statistics into self and return self.
+
+        The fields before n_replicas give the run layout and must agree.
+        Every later field except event_log is a count or a sum over
+        replicas, so it adds: numbers and arrays with +=, dicts key by key.
+        """
+        names = [f.name for f in fields(self)]
+        split = names.index("n_replicas")
+        if any(getattr(self, n) != getattr(other, n) for n in names[:split]):
             raise ValueError("cannot merge reports with different run layouts")
-        self.n_replicas += other.n_replicas
-        self.n_events += other.n_events
-        self.total_probes += other.total_probes
-        self.contaminated_probes += other.contaminated_probes
-        self.N_violations += other.N_violations
-        self.xi_probe_occ += other.xi_probe_occ
-        self.eta_probe_occ += other.eta_probe_occ
-        self.xi_mean_sum += other.xi_mean_sum
-        self.xi_mean_sumsq += other.xi_mean_sumsq
-        self.eta_mean_sum += other.eta_mean_sum
-        self.eta_mean_sumsq += other.eta_mean_sumsq
-        for src, dst in [
-            (other.x_counts, self.x_counts),
-            (other.label_counts, self.label_counts),
-            (other.x_freq_sum, self.x_freq_sum),
-            (other.x_freq_sumsq, self.x_freq_sumsq),
-            (other.label_freq_sum, self.label_freq_sum),
-            (other.label_freq_sumsq, self.label_freq_sumsq),
-        ]:
-            for key, val in src.items():
-                dst[key] = dst.get(key, 0) + val
+        for name in names[split:]:
+            if name == "event_log":
+                continue
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, dict):
+                for key, val in theirs.items():
+                    mine[key] = mine.get(key, 0) + val
+            else:
+                setattr(self, name, operator.iadd(mine, theirs))
         return self
 
 
@@ -640,16 +617,15 @@ def simulate_stationary(
     rep.xi_mean_sumsq += xi_mean ** 2
     rep.eta_mean_sum += eta_mean
     rep.eta_mean_sumsq += eta_mean ** 2
-    for key, cnt in Counter(x_seen).items():
-        f = cnt / n_probes
-        rep.x_counts[key] = rep.x_counts.get(key, 0) + cnt
-        rep.x_freq_sum[key] = rep.x_freq_sum.get(key, 0.0) + f
-        rep.x_freq_sumsq[key] = rep.x_freq_sumsq.get(key, 0.0) + f * f
-    for key, cnt in Counter(labels_seen).items():
-        f = cnt / n_probes
-        rep.label_counts[key] = rep.label_counts.get(key, 0) + cnt
-        rep.label_freq_sum[key] = rep.label_freq_sum.get(key, 0.0) + f
-        rep.label_freq_sumsq[key] = rep.label_freq_sumsq.get(key, 0.0) + f * f
+    for seen, counts, freq_sum, freq_sumsq in (
+        (x_seen, rep.x_counts, rep.x_freq_sum, rep.x_freq_sumsq),
+        (labels_seen, rep.label_counts, rep.label_freq_sum, rep.label_freq_sumsq),
+    ):
+        for key, cnt in Counter(seen).items():
+            f = cnt / n_probes
+            counts[key] = cnt
+            freq_sum[key] = f
+            freq_sumsq[key] = f * f
 
     if (
         max_contamination is not None
@@ -680,11 +656,10 @@ def run_ensemble(
     eps=1e-6,
     margin=5,
     max_contamination=None,
-    workers=1,
 ):
     """Independent replicas with per-replica RNG streams, folded into one
-    report in replica order as they arrive, so the result does not depend
-    on scheduling and no more than the reports in flight are held."""
+    report in replica order as each completes, so no more than two reports
+    are held at once."""
     if replicas < 1:
         raise ValueError("need at least one replica")
 
@@ -702,13 +677,7 @@ def run_ensemble(
             keep_log=False,
         )
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            merged = reduce(SimulationReport.merge, ex.map(one, range(replicas)))
-    else:
-        merged = reduce(SimulationReport.merge, map(one, range(replicas)))
+    merged = reduce(SimulationReport.merge, map(one, range(replicas)))
     if (
         max_contamination is not None
         and merged.contamination_fraction > max_contamination

@@ -160,14 +160,13 @@ def verify_euler(q, z, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     )
 
 
-def verify_euler_exact(N, K):
-    """Coefficient triangle of prod_{i=0}^{N} (1 + z q^i) for z-degree <= K,
-    checked against two partition counts: staircase-shifted box partitions
-    and partitions into distinct nonnegative parts."""
+def _z_coefficients(n_factors, max_k):
+    """Integer q-polynomial coefficients of z^0 .. z^min(n_factors, max_k)
+    in prod_{i=0}^{n_factors-1} (1 + z q^i), by z-degree."""
     cur = [IntPoly.one()]
-    for i in range(0, N + 1):
+    for i in range(0, n_factors):
         new = []
-        for k in range(0, min(len(cur), K) + 1):
+        for k in range(0, min(len(cur), max_k) + 1):
             poly = IntPoly([])
             if k < len(cur):
                 poly = poly + cur[k]
@@ -175,9 +174,15 @@ def verify_euler_exact(N, K):
                 poly = poly + cur[k - 1].shift(i)
             new.append(poly)
         cur = new
+    return cur
 
-    for k in range(0, K + 1):
-        poly = cur[k]
+
+def verify_euler_exact(N, K):
+    """Coefficient triangle of prod_{i=0}^{N} (1 + z q^i) for z-degree <= K,
+    checked against two partition counts: staircase-shifted box partitions
+    and partitions into distinct nonnegative parts."""
+    # z-degrees above N + 1 have no term and are not listed
+    for k, poly in enumerate(_z_coefficients(N + 1, K)):
         deg = poly.degree if poly.coeffs else 0
         stair = k * (k - 1) // 2
         for n in range(0, deg + 1):
@@ -220,18 +225,7 @@ def verify_qbinomial_exact(m):
     """z-degree k coefficient of prod_{i=0}^{m-1} (1 + z q^i) equals
     q^{k(k-1)/2} qbinom(m,k) as integer polynomials, and its q-coefficients
     count partitions into k distinct parts from {1..m}."""
-    cur = [IntPoly.one()]
-    for i in range(0, m):
-        new = []
-        for k in range(0, len(cur) + 1):
-            poly = IntPoly([])
-            if k < len(cur):
-                poly = poly + cur[k]
-            if k >= 1:
-                poly = poly + cur[k - 1].shift(i)
-            new.append(poly)
-        cur = new
-
+    cur = _z_coefficients(m, m)
     for k in range(0, m + 1):
         expect = qbinomial_poly(m, k).shift(k * (k - 1) // 2)
         if cur[k] != expect:

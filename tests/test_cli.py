@@ -59,6 +59,24 @@ class TestVerifyCommand:
     def test_exact_jacobi_rejected(self, capsys):
         assert main(["verify", "--identity", "jacobi", "--exact"]) == 2
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ["--exact", "--N", "-1"],
+            ["--exact", "--N", "61"],
+            ["--exact", "--K", "-2"],
+            ["--exact", "--m", "-1"],
+            ["--q", "0.5", "--m", "-1"],
+        ],
+        ids=["N-negative", "N-above-cap", "K-negative", "exact-m-negative",
+             "numeric-m-negative"],
+    )
+    def test_bad_size_usage_error_before_any_work(self, sizes, capsys):
+        assert main(["verify", "--identity", "all"] + sizes) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must" in err and "Traceback" not in err
+
 
 class TestDistCommand:
     def test_left_particles_rows_and_sum(self, tmp_path):
@@ -124,6 +142,31 @@ class TestDistCommand:
         assert code == 0
         assert float(lines[-1].split(",")[1]) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "law_args",
+        [
+            ["--law", "pi", "--cap", "-3"],
+            ["--law", "pi", "--d", "5", "--cap", "2"],
+            ["--law", "positions", "--d", "30", "--m=-8:8"],
+        ],
+        ids=["pi-negative-cap", "pi-cap-below-d", "positions-span-below-d"],
+    )
+    def test_empty_table_usage_error(self, law_args, capsys):
+        assert main(["dist", "--q", "0.5"] + law_args) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_truncation_not_converged_is_input_error(self, capsys):
+        code = main(["dist", "--law", "left-particles", "--q", "0.99999",
+                     "--m", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "did not reach" in err
+
+    def test_overflow_is_input_error(self, capsys):
+        code = main(["dist", "--law", "N", "--q", "0.5", "--c", "1e300"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_second_class_sums_to_d(self, tmp_path):
         code, meta, lines = run_csv(
             ["dist", "--law", "second-class", "--d", "2", "--m=-40:40",
@@ -174,13 +217,6 @@ class TestSimulateCommand:
         meta1.pop("timestamp")
         meta2.pop("timestamp")
         assert meta1 == meta2
-
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        code1, _, lines1 = run_csv(SIM_ARGS, tmp_path, "w1.csv")
-        code2, _, lines2 = run_csv(SIM_ARGS + ["--workers", "3"], tmp_path,
-                                   "w3.csv")
-        assert code1 == code2 == 0
-        assert lines1 == lines2
 
     def test_different_seed_changes_output(self, tmp_path):
         _, _, lines1 = run_csv(SIM_ARGS, tmp_path, "s7.csv")

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from aseplab.coupling import (
     BoundaryContamination,
     CoupledState,
     LabelOutOfRange,
+    SimulationReport,
     Transition,
     apply_transition,
     choose_transition,
@@ -30,6 +33,19 @@ from aseplab.coupling import (
     simulate_stationary,
 )
 from aseplab.qseries import pochhammer_infinite
+
+
+# a value differing from the run (-20, 20), d=1, q=0.5, c=0, T=1 with
+# the default ten probes, for every layout field of SimulationReport
+OTHER_LAYOUT = {
+    "lo": -21,
+    "hi": 21,
+    "d": 2,
+    "q": 0.6,
+    "c": 0.5,
+    "T": 2.0,
+    "probe_times": (0.0, 0.5, 1.0),
+}
 
 
 def state_from_sites(lo, hi, occupied, labels):
@@ -439,18 +455,16 @@ class TestSimulation:
         i = 30  # site 0
         assert abs(mean[i] - marginal(0, 1, pe)) <= 3.5 * max(float(sem[i]), 1e-4)
 
-    def test_determinism_and_worker_independence(self):
+    def test_determinism(self):
         p = AsepParams(q=0.5, c=0.0)
         kw = dict(window=(-20, 20), T=2.0, replicas=6, seed=5, probes=3, eps=1e-4)
         a = run_ensemble(p, 1, **kw)
         b = run_ensemble(p, 1, **kw)
-        c = run_ensemble(p, 1, workers=3, **kw)
-        for other in (b, c):
-            assert np.array_equal(a.xi_probe_occ, other.xi_probe_occ)
-            assert np.array_equal(a.eta_probe_occ, other.eta_probe_occ)
-            assert a.x_counts == other.x_counts
-            assert a.n_events == other.n_events
-            assert a.xi_mean_sum.tolist() == other.xi_mean_sum.tolist()
+        assert np.array_equal(a.xi_probe_occ, b.xi_probe_occ)
+        assert np.array_equal(a.eta_probe_occ, b.eta_probe_occ)
+        assert a.x_counts == b.x_counts
+        assert a.n_events == b.n_events
+        assert a.xi_mean_sum.tolist() == b.xi_mean_sum.tolist()
 
     def test_replica_streams(self):
         r0 = replica_rng(7, 0).random(4).tolist()
@@ -473,12 +487,41 @@ class TestSimulation:
                 max_contamination=0.5,
             )
 
-    def test_merge_layout_mismatch(self):
+    @pytest.mark.parametrize("name", list(OTHER_LAYOUT))
+    def test_merge_layout_mismatch(self, name):
         p = AsepParams(q=0.5, c=0.0)
         a = simulate_stationary(p, 1, (-20, 20), 1.0, np.random.default_rng(1), eps=1e-4)
-        b = simulate_stationary(p, 1, (-22, 22), 1.0, np.random.default_rng(2), eps=1e-4)
+        b = simulate_stationary(p, 1, (-20, 20), 1.0, np.random.default_rng(2), eps=1e-4)
+        assert getattr(b, name) != OTHER_LAYOUT[name]
+        setattr(b, name, OTHER_LAYOUT[name])
         with pytest.raises(ValueError):
             a.merge(b)
+
+    def test_merge_adds_every_statistic(self):
+        p = AsepParams(q=0.5, c=0.0)
+        a, b = (
+            simulate_stationary(p, 2, (-20, 20), 2.0, np.random.default_rng(s),
+                                probes=6, eps=1e-4)
+            for s in (3, 4)
+        )
+        b.n_replicas = 2  # as if b were already a merge of two replicas
+        assert set(a.x_counts) ^ set(b.x_counts)  # keys on one side only
+        names = [f.name for f in dataclasses.fields(SimulationReport)]
+        additive = names[names.index("n_replicas"):names.index("event_log")]
+        before = {n: (copy.deepcopy(getattr(a, n)), getattr(b, n)) for n in additive}
+        assert a.merge(b) is a
+        for n in additive:
+            mine, theirs = before[n]
+            got = getattr(a, n)
+            if isinstance(mine, dict):
+                assert got == {k: mine.get(k, 0) + theirs.get(k, 0)
+                               for k in set(mine) | set(theirs)}, n
+            elif isinstance(mine, np.ndarray):
+                assert np.array_equal(got, mine + theirs), n
+            else:
+                assert got == mine + theirs, n
+        assert a.n_replicas == 3
+        assert a.event_log is None
 
     def test_event_log(self):
         p = AsepParams(q=0.5, c=0.0)

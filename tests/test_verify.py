@@ -129,6 +129,11 @@ class TestExactSuites:
     def test_euler_exact_k_zero_column(self):
         assert verify_euler_exact(10, 0)
 
+    def test_euler_exact_k_above_product_degree(self):
+        # prod_{i=0}^{2} (1 + z q^i) has z-degree 3, so K = 6 asks for
+        # columns that are identically zero
+        assert verify_euler_exact(2, 6)
+
     def test_qbinomial_exact(self):
         for m in range(0, 9):
             assert verify_qbinomial_exact(m)

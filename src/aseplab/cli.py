@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
 from .blocking import (
@@ -26,7 +27,9 @@ from .blocking import (
 from .coupling import (
     BoundaryContamination,
     pi_label,
+    pi_label_table,
     prob_positions,
+    prob_positions_table,
     prob_second_class_at,
     run_ensemble,
 )
@@ -44,41 +47,42 @@ from .verify import (
 
 
 def _fmt(x):
+    # floats first: nearly every cell of a dist table is one
+    if isinstance(x, float):
+        return f"{x:.17g}"
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.17g}"
     return str(x)
 
 
 def _csv_quote(s):
-    if any(ch in s for ch in ',"\n'):
+    if "," in s or '"' in s or "\n" in s:
         return '"' + s.replace('"', '""') + '"'
     return s
 
 
 def _emit(args, meta, header, rows):
     """Serialize one table.  CSV: meta as a single # line, then header and
-    rows; JSON: {"meta", "rows"} with row dicts keyed by the header."""
+    rows, formatted as they are written, so a long table is never held a
+    second time as text; JSON: {"meta", "rows"} with row dicts keyed by the
+    header."""
     if args.format == "json":
         payload = {
             "meta": meta,
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        lines = [json.dumps(payload, indent=1, sort_keys=True)]
     else:
-        lines = ["# " + json.dumps(meta, sort_keys=True)]
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_csv_quote(_fmt(v)) for v in row))
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        lines = itertools.chain(
+            ["# " + json.dumps(meta, sort_keys=True), ",".join(header)],
+            (",".join(map(_csv_quote, map(_fmt, row))) for row in rows),
+        )
+    out = open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _meta(args, extra=None):
@@ -237,6 +241,7 @@ def cmd_simulate(parser, args):
     _require(parser, args.d >= 0, "--d must be >= 0")
     _require(parser, args.T >= 0, "--T must be >= 0")
     _require(parser, args.probes >= 0, "--probes must be >= 0")
+    _require(parser, args.margin >= 0, "--margin must be >= 0")
     p = AsepParams(q=args.q, c=args.c)
     try:
         rep = run_ensemble(
@@ -304,10 +309,13 @@ def cmd_dist(parser, args):
     if args.law == "N":
         span = args.n or (-10, 10)
         header = ["key", "prob", "ratio", "ratio_expected"]
+        prev = prob_N(span[0] - 1, p)
         for n in range(span[0], span[1] + 1):
             pr = prob_N(n, p)
-            ratio = pr / prob_N(n - 1, p)
+            # empty where P(N = n-1) underflows to 0
+            ratio = pr / prev if prev else None
             rows.append([str(n), pr, ratio, p.q ** (n - p.c)])
+            prev = pr
     elif args.law == "left-particles":
         span = args.k or (0, 20)
         _require(parser, span[0] >= 0, "k must be >= 0")
@@ -336,12 +344,12 @@ def cmd_dist(parser, args):
         span = args.m or (-8, 8)
         sites = range(span[0], span[1] + 1)
         _require(parser, len(sites) >= args.d, "--m must span at least d sites")
-        for tup in itertools.combinations(sites, args.d):
-            rows.append([",".join(map(str, tup)), prob_positions(tup, p, args.d)])
+        for tup, prob in prob_positions_table(sites, p, args.d):
+            rows.append([",".join(map(str, tup)), prob])
     elif args.law == "pi":
         _require(parser, args.cap >= args.d - 1, "--cap must be >= d - 1")
-        for tup in itertools.combinations(range(args.cap + 1), args.d):
-            rows.append([",".join(map(str, tup)), pi_label(tup, p.q)])
+        for tup, prob in pi_label_table(args.d, p.q, args.cap):
+            rows.append([",".join(map(str, tup)), prob])
     rows.append(["sum", sum(r[1] for r in rows)] + [None] * (len(header) - 2))
 
     meta = _meta(args, {"law": args.law})

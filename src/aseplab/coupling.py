@@ -235,15 +235,30 @@ def eta_from(s):
     return eta
 
 
+def _pi_norm(qv, d):
+    """prod_{i<=d} (1-q^i), the normalization of pi."""
+    out = 1.0
+    for i in range(1, d + 1):
+        out *= 1.0 - qv ** i
+    return out
+
+
 def pi_label(x, q):
     """Stationary label law pi(x) = prod_{i<=d}(1-q^i) * q^{sum x - d(d-1)/2}."""
     labels = as_labels(x)
     qv = q.q if isinstance(q, QParam) else q
     d = len(labels)
-    out = 1.0
-    for i in range(1, d + 1):
-        out *= 1.0 - qv ** i
-    return out * qv ** (sum(labels) - d * (d - 1) // 2)
+    return _pi_norm(qv, d) * qv ** (sum(labels) - d * (d - 1) // 2)
+
+
+def pi_label_table(d, q, cap):
+    """(x, pi_label(x, q)) for every label tuple x with x_d <= cap, in
+    itertools.combinations order; the normalization is computed once."""
+    qv = q.q if isinstance(q, QParam) else q
+    norm = _pi_norm(qv, d)
+    shift = d * (d - 1) // 2
+    for x in itertools.combinations(range(cap + 1), d):
+        yield x, norm * qv ** (sum(x) - shift)
 
 
 def pi_detailed_balance_check(d, q, cap):
@@ -313,16 +328,41 @@ def prob_positions(m, p, d=None):
         raise ValueError("m must have length d >= 1")
     if any(b <= a for a, b in zip(mvec, mvec[1:])):
         raise ValueError("positions must be strictly increasing")
+    (_, prob), = prob_positions_table(mvec, p, d)
+    return prob
+
+
+def prob_positions_table(sites, p, d):
+    """(m, prob_positions(m, p, d)) for every increasing d-tuple m of the
+    increasing int sites, in itertools.combinations order.
+
+    The log terms of each (slot, site) pair are computed once; every row
+    adds its slots' terms up in slot order.
+    """
+    sites = tuple(sites)
     lq = math.log(p.q)
-    logv = 0.0
+    base = 0.0
     for i in range(1, d + 1):
-        logv += math.log1p(-(p.q ** i))
-    for j, mj in enumerate(mvec, start=1):
-        u = p.c - mj
-        logv += u * lq
-        logv -= _log1p_qpow(u + d - j, lq)
-        logv -= _log1p_qpow(u + d + 1 - j, lq)
-    return math.exp(logv)
+        base += math.log1p(-(p.q ** i))
+    # slots[j-1][i]: (c-m) log q and the logs of the two denominator
+    # factors of slot j at site m = sites[i]
+    slots = []
+    for j in range(1, d + 1):
+        terms = []
+        for mj in sites:
+            u = p.c - mj
+            terms.append((u * lq, _log1p_qpow(u + d - j, lq),
+                          _log1p_qpow(u + d + 1 - j, lq)))
+        slots.append(terms)
+    for m, idx in zip(itertools.combinations(sites, d),
+                      itertools.combinations(range(len(sites)), d)):
+        logv = base
+        for terms, i in zip(slots, idx):
+            ul, a, b = terms[i]
+            logv += ul
+            logv -= a
+            logv -= b
+        yield m, math.exp(logv)
 
 
 def _hat_pairs(mvec, kvec):

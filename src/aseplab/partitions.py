@@ -8,7 +8,7 @@ and the bijection sending a finite occupancy window to the partition of its
 total left displacement.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class SizeLimit(Exception):
@@ -20,33 +20,54 @@ ENUMERATION_CAP = 60
 
 def as_partition(parts):
     """Validate and canonicalize to a tuple; rejects non-monotone input."""
-    p = tuple(int(x) for x in parts)
-    for i in range(len(p) - 1):
-        if p[i] < p[i + 1]:
-            raise ValueError(f"parts must be weakly decreasing, got {p}")
+    p = tuple(map(int, parts))
+    if p != tuple(sorted(p, reverse=True)):
+        raise ValueError(f"parts must be weakly decreasing, got {p}")
     if p and p[-1] < 1:
         raise ValueError(f"parts must be positive, got {p}")
     return p
 
 
 def enumerate_partitions(n):
-    """All partitions of n in lexicographically decreasing order."""
+    """All partitions of n in lexicographically decreasing order.
+
+    Iterative (Zoghbi-Stojmenovic ZS1): x holds the current partition in its
+    first m entries and 1 everywhere past index h, the last part above 1.
+    The successor lowers x[h] by one and refills the parts from h on, as
+    many copies of the lowered value as fit in the freed total, then the
+    remainder.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > ENUMERATION_CAP:
         raise SizeLimit(f"enumeration capped at n={ENUMERATION_CAP}, got {n}")
-    out = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
+    if n == 0:
+        return [()]
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(tuple(x[:m]))
     return out
 
 
@@ -56,27 +77,32 @@ def count_partitions(n):
 
 
 def count_bounded(n, max_parts, max_size):
-    """Partitions of n into at most max_parts parts, each at most max_size.
+    """Partitions of n into at most max_parts parts, each at most max_size."""
+    if n < 0:
+        return 0
+    if n == 0:
+        return 1
+    return bounded_counts(n, max_parts, max_size)[n]
+
+
+def bounded_counts(n_max, max_parts, max_size):
+    """[count_bounded(v, max_parts, max_size) for v in 0..n_max] from one DP.
 
     DP over allowed part sizes s = 1..max_size with
     B_s(v, j) = B_{s-1}(v, j) + B_s(v - s, j - 1): either no part equals s,
     or remove one copy of s (spending one of the j part slots).
     """
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
     # B[v][j], updated in increasing v so the second term sees the same s
-    B = [[1 if v == 0 else 0 for _ in range(max_parts + 1)] for v in range(n + 1)]
+    B = [[1 if v == 0 else 0 for _ in range(max_parts + 1)]
+         for v in range(n_max + 1)]
     for s in range(1, max_size + 1):
-        for v in range(s, n + 1):
+        for v in range(s, n_max + 1):
             for j in range(1, max_parts + 1):
                 B[v][j] += B[v - s][j - 1]
-    return B[n][max_parts]
+    return [row[max_parts] for row in B]
 
 
-@dataclass(frozen=True)
-class DurfeeDecomposition:
+class DurfeeDecomposition(NamedTuple):
     """Maximal (n_offset+k) x k rectangle of a partition plus the leftover
     partitions to its right and below; zero parts are dropped from right."""
 
@@ -86,11 +112,15 @@ class DurfeeDecomposition:
     below: tuple
 
     def reassemble(self):
+        """The partition put back together.  Its parts are not validated
+        again: durfee_decompose validated the partition they came from."""
         side = self.n_offset + self.k
-        padded = list(self.right) + [0] * (self.k - len(self.right))
-        # side 0 rows with no right part carry nothing
-        parts = [r + side for r in padded if r + side > 0] + list(self.below)
-        return as_partition(parts)
+        parts = [v for r in self.right if (v := r + side) > 0]
+        # rows past the right partition hold side alone; side 0 rows carry
+        # nothing
+        if side > 0:
+            parts += [side] * (self.k - len(self.right))
+        return (*parts, *self.below)
 
 
 def durfee_decompose(p, n_offset):
@@ -102,25 +132,22 @@ def durfee_decompose(p, n_offset):
     """
     lam = as_partition(p)
     ell = len(lam)
-
-    def lam_at(i):
-        if i == 0:
-            return float("inf")
-        return lam[i - 1] if i <= ell else 0
-
-    k_lo = max(-n_offset, 0)
-    k_hi = max(ell, -n_offset) + 1
-    hits = [
-        k
-        for k in range(k_lo, k_hi + 1)
-        if lam_at(k) >= n_offset + k and lam_at(k + 1) <= n_offset + k
-    ]
-    assert len(hits) == 1, f"rectangle index not unique: {hits} for {lam}, n={n_offset}"
-    k = hits[0]
-    side = n_offset + k
-    right = tuple(lam[i] - side for i in range(min(k, ell)) if lam[i] - side > 0)
+    n = n_offset
+    k_lo = -n if n < 0 else 0
+    # lam_k >= n+k holds on a prefix of k >= k_lo (it holds at k_lo), and
+    # lam_{k+1} <= n+k on a suffix (it holds from max(ell, k_lo) on): scan
+    # up to the prefix's end and down to the suffix's start.
+    k = k_lo
+    while k < ell and lam[k] > n + k:  # lam_{k+1} >= n+k+1: prefix goes on
+        k += 1
+    b = ell if ell > k_lo else k_lo
+    while b > k_lo and lam[b - 1] < n + b:  # lam_b <= n+b-1: suffix goes on
+        b -= 1
+    assert k == b, f"rectangle index not unique: {k} != {b} for {lam}, n={n}"
+    side = n + k
+    right = tuple([x - side for x in lam[:k] if x > side])
     below = lam[k:]
-    return DurfeeDecomposition(n_offset=n_offset, k=k, right=right, below=below)
+    return DurfeeDecomposition(n_offset, k, right, below)
 
 
 def count_distinct_exactly_k(n, k):
@@ -147,27 +174,28 @@ def count_distinct_exactly_k(n, k):
 
 
 def count_distinct_bounded(n, k, m):
-    """Partitions of n into exactly k distinct parts, each in 1..m.
-
-    Independent DP on whether the part m is used; deliberately not derived
-    from the q-binomial polynomial so the two can cross-check each other.
-    """
+    """Partitions of n into exactly k distinct parts, each in 1..m."""
     if k < 0 or n < 0 or m < 0:
         return 0
-    table = {}
+    return distinct_bounded_counts(n, k, m)[n]
 
-    def rec(v, j, top):
-        if j == 0:
-            return 1 if v == 0 else 0
-        if top < j or v < j * (j + 1) // 2:
-            return 0
-        key = (v, j, top)
-        if key not in table:
-            use = rec(v - top, j - 1, top - 1) if v >= top else 0
-            table[key] = rec(v, j, top - 1) + use
-        return table[key]
 
-    return rec(n, k, m)
+def distinct_bounded_counts(n_max, k, m):
+    """[count_distinct_bounded(v, k, m) for v in 0..n_max] from one DP.
+
+    Each part s = 1..m is used or not; deliberately not derived from the
+    q-binomial polynomial so the two can cross-check each other.
+    """
+    # D[j][v]: sets of j distinct parts from 1..s summing to v, updated in
+    # decreasing j and v so that every part is used at most once
+    D = [[0] * (n_max + 1) for _ in range(k + 1)]
+    D[0][0] = 1
+    for s in range(1, m + 1):
+        for j in range(min(s, k), 0, -1):
+            row, fewer = D[j], D[j - 1]
+            for v in range(n_max, s - 1, -1):
+                row[v] += fewer[v - s]
+    return D[k]
 
 
 class IntSeries:

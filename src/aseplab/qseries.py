@@ -8,6 +8,7 @@ precision integer polynomial in q.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 import math
 
 
@@ -160,10 +161,10 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
+        cs = list(map(int, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(int(c) for c in cs)
+        self.coeffs = tuple(cs)
 
     @property
     def degree(self):
@@ -173,9 +174,8 @@ class IntPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly(
-            [self.coeff(i) + other.coeff(i) for i in range(n)]
+            map(sum, zip_longest(self.coeffs, other.coeffs, fillvalue=0))
         )
 
     def __mul__(self, other):
@@ -215,30 +215,37 @@ class IntPoly:
         return IntPoly((1,))
 
 
+def qbinomial_row(m):
+    """[[m 0]_q, ..., [m m]_q] as exact IntPolys, built row by row from the
+    q-Pascal recursion [r j] = q^j [r-1 j] + [r-1 j-1]."""
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+    # rows of coefficient lists; only the returned row becomes IntPolys
+    row = [[1]]
+    for r in range(1, m + 1):
+        row = ([[1]]
+               + [[a + b for a, b in zip_longest([0] * j + row[j], row[j - 1],
+                                                 fillvalue=0)]
+                  for j in range(1, r)]
+               + [[1]])
+    return [IntPoly(c) for c in row]
+
+
 def qbinomial_poly(m, k):
-    """[m k]_q as an exact IntPoly, built from the q-Pascal recursion
-    [m k] = q^k [m-1 k] + [m-1 k-1]."""
+    """[m k]_q as an exact IntPoly, from qbinomial_row(m)."""
     if not (0 <= k <= m):
         raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
-    # row r holds [r j]_q for j = 0..r
-    row = [IntPoly.one()]
-    for r in range(1, m + 1):
-        new = [IntPoly.one()]
-        for j in range(1, r):
-            new.append(row[j].shift(j) + row[j - 1])
-        new.append(IntPoly.one())
-        row = new
-    return row[k]
+    return qbinomial_row(m)[k]
 
 
 def q_pascal_check(m, k):
     """Exact check of [m k]_q == q^k [m-1 k]_q + [m-1 k-1]_q."""
     if not (0 <= k <= m) or m < 1:
         raise ValueError(f"need m >= 1 and 0 <= k <= m, got m={m}, k={k}")
-    lhs = qbinomial_poly(m, k)
-    a = qbinomial_poly(m - 1, k).shift(k) if k <= m - 1 else IntPoly()
-    b = qbinomial_poly(m - 1, k - 1) if k >= 1 else IntPoly()
-    return lhs == a + b
+    prev = qbinomial_row(m - 1)
+    a = prev[k].shift(k) if k <= m - 1 else IntPoly()
+    b = prev[k - 1] if k >= 1 else IntPoly()
+    return qbinomial_row(m)[k] == a + b
 
 
 def pochhammer_inversion(k, q):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .partitions import (
     IntSeries,
-    count_bounded,
-    count_distinct_bounded,
+    bounded_counts,
     count_distinct_exactly_k,
+    distinct_bounded_counts,
     durfee_decompose,
     enumerate_partitions,
     series_bounded_parts,
@@ -30,7 +30,7 @@ from .qseries import (
     pochhammer_finite,
     pochhammer_infinite,
     qbinomial,
-    qbinomial_poly,
+    qbinomial_row,
 )
 
 DEFAULT_TOL = 1e-10
@@ -110,14 +110,16 @@ def verify_durfee_exact(N, n_offset):
     reassembles from its rectangle decomposition, and the rectangle sum of
     integer series reproduces the partition generating function mod q^{N+1}."""
     n = int(n_offset)
+    k_lo = max(-n, 0)
     for size in range(0, N + 1):
         for lam in enumerate_partitions(size):
             dec = durfee_decompose(lam, n)
             if dec.reassemble() != lam:
                 return False
-            if dec.k < max(-n, 0) or len(dec.right) > dec.k:
+            if dec.k < k_lo or len(dec.right) > dec.k:
                 return False
-            if any(x > n + dec.k for x in dec.below):
+            # below is a tail of lam, so its first part is its largest
+            if dec.below and dec.below[0] > n + dec.k:
                 return False
 
     p = series_partition_gf(N)
@@ -185,9 +187,10 @@ def verify_euler_exact(N, K):
     for k, poly in enumerate(_z_coefficients(N + 1, K)):
         deg = poly.degree if poly.coeffs else 0
         stair = k * (k - 1) // 2
+        boxes = bounded_counts(max(deg - stair, 0), k, N - k + 1)
         for n in range(0, deg + 1):
             c = poly.coeff(n)
-            boxed = count_bounded(n - stair, k, N - k + 1) if n >= stair else 0
+            boxed = boxes[n - stair] if n >= stair else 0
             if c != boxed:
                 return False
             if n <= N:
@@ -226,13 +229,15 @@ def verify_qbinomial_exact(m):
     q^{k(k-1)/2} qbinom(m,k) as integer polynomials, and its q-coefficients
     count partitions into k distinct parts from {1..m}."""
     cur = _z_coefficients(m, m)
+    row = qbinomial_row(m)
     for k in range(0, m + 1):
-        expect = qbinomial_poly(m, k).shift(k * (k - 1) // 2)
+        expect = row[k].shift(k * (k - 1) // 2)
         if cur[k] != expect:
             return False
         deg = cur[k].degree if cur[k].coeffs else 0
+        distinct = distinct_bounded_counts(deg + k, k, m)
         for t in range(0, deg + 1):
-            if cur[k].coeff(t) != count_distinct_bounded(t + k, k, m):
+            if cur[k].coeff(t) != distinct[t + k]:
                 return False
     return True
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from aseplab.blocking import AsepParams, prob_N
 from aseplab.cli import main
 
 
@@ -102,6 +103,35 @@ class TestDistCommand:
             _, _, ratio, expected = line.split(",")
             assert float(ratio) == pytest.approx(float(expected), rel=1e-11)
 
+    @pytest.mark.parametrize("span", ["-60:-50", "-400:-390", "-47:-40"])
+    def test_N_ratio_empty_where_previous_prob_underflows(self, span, tmp_path):
+        code, meta, lines = run_csv(
+            ["dist", "--law", "N", f"--n={span}", "--q", "0.5"], tmp_path
+        )
+        assert code == 0
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert len(rows) == len(range(*map(int, span.split(":")))) + 1
+        prev = None
+        for key, prob, ratio, expected in rows:
+            if prev is not None and float(prev) == 0.0:
+                assert ratio == ""
+            elif prev is not None and float(prev) > 1e-300:
+                assert float(ratio) == pytest.approx(float(expected), rel=1e-11)
+            prev = prob
+
+    def test_N_ratio_reuses_previous_row(self, tmp_path):
+        code, meta, lines = run_csv(
+            ["dist", "--law", "N", "--n=-3:3", "--q", "0.7", "--c", "0.3"],
+            tmp_path,
+        )
+        assert code == 0
+        p = AsepParams(q=0.7, c=0.3)
+        for line in lines[1:-1]:
+            key, prob, ratio, _ = line.split(",")
+            n = int(key)
+            assert float(prob) == prob_N(n, p)
+            assert float(ratio) == prob_N(n, p) / prob_N(n - 1, p)
+
     def test_positions_pairs_and_quoting(self, tmp_path):
         code, meta, lines = run_csv(
             ["dist", "--law", "positions", "--d", "2", "--m=-5:5",
@@ -194,6 +224,13 @@ class TestSimulateCommand:
             ["simulate", "--q", "0.5", "--window=-20:20", "--probes", "-1"]
         ) == 2
         assert "--probes must be >= 0" in capsys.readouterr().err
+
+    def test_negative_margin_usage_error(self, capsys):
+        assert main(
+            ["simulate", "--q", "0.5", "--window=-25:25", "--replicas", "2",
+             "--T", "1", "--margin", "-3"]
+        ) == 2
+        assert "--margin must be >= 0" in capsys.readouterr().err
 
     def test_json_schema(self, tmp_path):
         code, doc = run_json(SIM_ARGS, tmp_path)

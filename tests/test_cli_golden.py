@@ -1,0 +1,77 @@
+"""Golden bytes: SHA-256 of the CSV output of fixed commands, timestamp
+removed.  The digests were recorded before the exact suites and the dist
+grids were rewritten to work a table at a time; any change to a printed
+byte (a float's last digit, a row's order, a verdict) fails here.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from aseplab.cli import main
+
+TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+GOLDEN = {
+    "exact-defaults": (
+        ["verify", "--identity", "all", "--exact"],
+        "ea7f486c9fda9260a4deda55e7a36a813ec7df4f586a698776779ca02bf6a787",
+    ),
+    "exact-N12-K9": (
+        ["verify", "--identity", "all", "--exact", "--N", "12", "--K", "9"],
+        "7f777d9f9cbad1d4878c66ad48c48ffe3f4c9598302aebfb44e961999e6a378c",
+    ),
+    "numeric-q0.9": (
+        ["verify", "--identity", "all", "--q", "0.9"],
+        "5c5cd6bc1a305c711964c2313668dab106988df94c2d0bfaee6bc287920a8bae",
+    ),
+    "dist-N": (
+        ["dist", "--law", "N", "--q", "0.5", "--c", "0.37", "--n=-12:12"],
+        "3100de5a6d817a8429ac9ca9e5726264f3f0e2a1c394b3784eedb84a68f5c1a2",
+    ),
+    "dist-left-particles": (
+        ["dist", "--law", "left-particles", "--q", "0.7", "--c", "-1.7",
+         "--m=1", "--k=0:30"],
+        "d454dcbb20adb8785958c1e3786e4a59d087ac7806de4232136d9a92a19b2614",
+    ),
+    "dist-window-particles": (
+        ["dist", "--law", "window-particles", "--q", "0.5", "--c", "0.37",
+         "--m1=-7", "--m2=6"],
+        "02c5bb93701dd831552bb97752ac8d9e5980a5330fd3d7291cac0643e9e3e59a",
+    ),
+    "dist-right-holes": (
+        ["dist", "--law", "right-holes", "--q", "0.3", "--c", "0.37",
+         "--m=-1", "--n=0:20"],
+        "c54e671502a8dff8c0a64ffb7ae679436f1e69a5a0825aadff3b939f0a1e0f30",
+    ),
+    "dist-second-class": (
+        ["dist", "--law", "second-class", "--q", "0.9", "--c", "-1.7",
+         "--d", "2", "--m=-60:60"],
+        "989fa2a32dca3c7e60eb22156610ca0375e80318e941df0efadb85558c73b20a",
+    ),
+    "dist-positions": (
+        ["dist", "--law", "positions", "--q", "0.2", "--c", "0.37",
+         "--d", "3", "--m=-12:14"],
+        "d97d9325b42342e09334e260d5661acbe4467beb0f0f59fdbe9044e5322a5e25",
+    ),
+    "dist-pi": (
+        ["dist", "--law", "pi", "--q", "0.5", "--d", "3", "--cap", "30"],
+        "c4f548a228ec9ce87e205c38be81b1173838acdea5c0d7d428c77ab80cf15908",
+    ),
+}
+
+
+def stripped_digest(argv, tmp_path):
+    path = tmp_path / "out.csv"
+    code = main(argv + ["--out", str(path)])
+    text = TIMESTAMP.sub('"timestamp": ""', path.read_text())
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(name, tmp_path):
+    argv, digest = GOLDEN[name]
+    code, got = stripped_digest(argv, tmp_path)
+    assert code == 0
+    assert got == digest

@@ -9,7 +9,6 @@ the counts against the DP counters.
 """
 
 from aseplab.partitions import (
-    IntSeries,
     count_bounded,
     count_distinct_bounded,
     count_distinct_exactly_k,
@@ -19,6 +18,7 @@ from aseplab.partitions import (
     series_bounded_parts,
     series_partition_gf,
 )
+from aseplab.qseries import IntPoly
 
 
 def main():
@@ -42,20 +42,22 @@ def main():
     # are both bounded-part partitions (conjugating the right one)
     N = 12
     gf = series_partition_gf(N)
-    acc = IntSeries([0], N)
+    acc = IntPoly()
     k = 0
     while k * k <= N:
         blk = series_bounded_parts(k, N)
         acc = acc + (blk * blk).shift(k * k)
         k += 1
-    print("square-rectangle sum over k rebuilds the gf:", acc == gf)
+    # both pieces are exact up to q^N only, so compare that prefix
+    print("square-rectangle sum over k rebuilds the gf:",
+          IntPoly(acc.coeffs[:N + 1]) == gf)
 
     # bounded double DP against the series on a slice
     print("count_bounded(n, 3 parts, size 4) for n=0..12:",
           [count_bounded(n, 3, 4) for n in range(13)])
 
     # distinct parts two ways: direct DP and the product prod (1 + q^i)
-    prod = IntSeries.one(N)
+    prod = IntPoly.one()
     for i in range(1, N + 1):
         prod = prod + prod.shift(i)
     n = 8

@@ -11,6 +11,7 @@ output except the timestamp inside the metadata is reproducible.
 import argparse
 import itertools
 import json
+import math
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -26,6 +27,7 @@ from .blocking import (
 )
 from .coupling import (
     BoundaryContamination,
+    LabelOutOfRange,
     pi_label,
     pi_label_table,
     prob_positions,
@@ -133,6 +135,13 @@ def _q_arg(text):
     return v
 
 
+def _finite_arg(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
 def _seed_arg(text):
     v = int(text)
     if not 0 <= v < 2**64:
@@ -153,6 +162,7 @@ def cmd_verify(parser, args):
              f"--N must lie in 0..{ENUMERATION_CAP}")
     _require(parser, args.K >= 0, "--K must be >= 0")
     _require(parser, args.m >= 0, "--m must be >= 0")
+    _require(parser, args.tol is None or args.tol >= 0, "--tol must be >= 0")
     rows = []
     header = [
         "identity",
@@ -242,6 +252,8 @@ def cmd_simulate(parser, args):
     _require(parser, args.T >= 0, "--T must be >= 0")
     _require(parser, args.probes >= 0, "--probes must be >= 0")
     _require(parser, args.margin >= 0, "--margin must be >= 0")
+    mc = args.max_contamination
+    _require(parser, mc is None or mc >= 0, "--max-contamination must be >= 0")
     p = AsepParams(q=args.q, c=args.c)
     try:
         rep = run_ensemble(
@@ -381,29 +393,30 @@ def build_parser():
     sp.add_argument("--exact", action="store_true",
                     help="integer/combinatorial suites instead of floats")
     sp.add_argument("--q", type=_q_arg, default=None)
-    sp.add_argument("--z", type=float, default=1.0)
+    sp.add_argument("--z", type=_finite_arg, default=1.0)
     sp.add_argument("--n-offset", dest="n_offset", type=int, default=0)
     sp.add_argument("--m", type=int, default=12, help="max m for qbinomial")
     sp.add_argument("--N", type=int, default=25, help="exact-suite size cap")
     sp.add_argument("--K", type=int, default=6, help="exact euler z-degree")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_finite_arg, default=None)
     common(sp)
 
     sp = sub.add_parser("simulate", help="coupled Monte Carlo vs closed forms")
     sp.add_argument("--q", type=_q_arg, required=True)
-    sp.add_argument("--c", type=float, default=0.0)
+    sp.add_argument("--c", type=_finite_arg, default=0.0)
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--window", type=_parse_window, required=True,
                     metavar="LO:HI", help="use --window=-25:25 for negatives")
-    sp.add_argument("--T", type=float, default=50.0)
+    sp.add_argument("--T", type=_finite_arg, default=50.0)
     sp.add_argument("--replicas", type=int, default=200)
     sp.add_argument("--seed", type=_seed_arg, default=0)
     sp.add_argument("--probes", type=int, default=10)
-    sp.add_argument("--window-eps", dest="window_eps", type=float, default=1e-6,
+    sp.add_argument("--window-eps", dest="window_eps", type=_finite_arg,
+                    default=1e-6,
                     help="max admissible boundary-marginal defect")
     sp.add_argument("--margin", type=int, default=5)
     sp.add_argument("--max-contamination", dest="max_contamination",
-                    type=float, default=None)
+                    type=_finite_arg, default=None)
     common(sp)
 
     sp = sub.add_parser("dist", help="tabulate a closed-form law")
@@ -421,7 +434,7 @@ def build_parser():
         ),
     )
     sp.add_argument("--q", type=_q_arg, required=True)
-    sp.add_argument("--c", type=float, default=0.0)
+    sp.add_argument("--c", type=_finite_arg, default=0.0)
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--m", type=_parse_span, default=None,
                     metavar="M|LO:HI")
@@ -450,8 +463,8 @@ def main(argv=None):
             return cmd_dist(parser, args)
     except SystemExit as e:  # parser.error inside handlers
         return int(e.code or 0)
-    except (ValueError, WindowTooNarrow, TruncationNotConverged,
-            OverflowError) as e:
+    except (ValueError, WindowTooNarrow, LabelOutOfRange,
+            TruncationNotConverged, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 2

@@ -460,8 +460,6 @@ class SimulationReport:
     total_probes: int = 0
     contaminated_probes: int = 0
     N_violations: int = 0
-    xi_probe_occ: np.ndarray = None
-    eta_probe_occ: np.ndarray = None
     xi_mean_sum: np.ndarray = None
     xi_mean_sumsq: np.ndarray = None
     eta_mean_sum: np.ndarray = None
@@ -551,7 +549,6 @@ class SimulationReport:
 
 def _empty_report(lo, hi, d, p, T, probe_times):
     width = hi - lo + 1
-    n = len(probe_times)
     return SimulationReport(
         lo=lo,
         hi=hi,
@@ -560,8 +557,6 @@ def _empty_report(lo, hi, d, p, T, probe_times):
         c=p.c,
         T=T,
         probe_times=tuple(probe_times),
-        xi_probe_occ=np.zeros((n, width)),
-        eta_probe_occ=np.zeros((n, width)),
         xi_mean_sum=np.zeros(width),
         xi_mean_sumsq=np.zeros(width),
         eta_mean_sum=np.zeros(width),
@@ -586,7 +581,6 @@ def simulate_stationary(
     probes=10,
     eps=1e-6,
     margin=5,
-    max_contamination=None,
     keep_log=False,
 ):
     """One replica: exact (mu^c x pi) start, Gillespie to time T, state
@@ -594,9 +588,7 @@ def simulate_stationary(
 
     The probe at a time inside a holding interval sees the state holding
     there.  Contamination = probes where some second-class particle sits
-    within `margin` sites of the window edge; if max_contamination is given
-    and the final fraction exceeds it, BoundaryContamination is raised
-    after the statistics are complete.
+    within `margin` sites of the window edge.
     """
     lo, hi = window
     xi = sample_blocking(window, p, rng, eps=eps)
@@ -642,8 +634,6 @@ def simulate_stationary(
     eta_rows = xi_rows.copy()
     if d:
         eta_rows[np.arange(n_probes)[:, None], np.array(x_seen) - lo] = 0
-    rep.xi_probe_occ += xi_rows
-    rep.eta_probe_occ += eta_rows
     rep.total_probes += n_probes
     rep.contaminated_probes += sum(
         X[0] < lo + margin or X[-1] > hi - margin for X in x_seen
@@ -666,16 +656,6 @@ def simulate_stationary(
             counts[key] = cnt
             freq_sum[key] = f
             freq_sumsq[key] = f * f
-
-    if (
-        max_contamination is not None
-        and rep.contamination_fraction > max_contamination
-    ):
-        raise BoundaryContamination(
-            f"{rep.contaminated_probes}/{rep.total_probes} probes saw a "
-            f"second-class particle within {margin} sites of the boundary "
-            f"(allowed fraction {max_contamination})"
-        )
     return rep
 
 
@@ -713,7 +693,6 @@ def run_ensemble(
             probes=probes,
             eps=eps,
             margin=margin,
-            max_contamination=None,
             keep_log=False,
         )
 

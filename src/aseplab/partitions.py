@@ -3,12 +3,14 @@
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the partition of 0.  Everything here is exact integer arithmetic:
 enumeration (capped), bounded-part counting DPs, Durfee rectangle
-decomposition at an integer offset, truncated generating-function series,
-and the bijection sending a finite occupancy window to the partition of its
-total left displacement.
+decomposition at an integer offset, generating-function coefficients up to
+q^N as IntPoly, and the bijection sending a finite occupancy window to the
+partition of its total left displacement.
 """
 
 from typing import NamedTuple
+
+from .qseries import IntPoly
 
 
 class SizeLimit(Exception):
@@ -151,26 +153,10 @@ def durfee_decompose(p, n_offset):
 
 
 def count_distinct_exactly_k(n, k):
-    """Partitions of n into exactly k distinct positive parts.
-
-    Recursion on subtracting 1 from every part: the smallest part either
-    stays positive (still k parts) or was 1 and vanishes (k-1 parts).
-    """
+    """Partitions of n into exactly k distinct positive parts."""
     if k < 0 or n < 0:
         return 0
-    table = {}
-
-    def rec(v, j):
-        if j == 0:
-            return 1 if v == 0 else 0
-        if v < j * (j + 1) // 2:
-            return 0
-        key = (v, j)
-        if key not in table:
-            table[key] = rec(v - j, j) + rec(v - j, j - 1)
-        return table[key]
-
-    return rec(n, k)
+    return distinct_bounded_counts(n, k, n)[n]
 
 
 def count_distinct_bounded(n, k, m):
@@ -198,87 +184,21 @@ def distinct_bounded_counts(n_max, k, m):
     return D[k]
 
 
-class IntSeries:
-    """Truncated power series in q with exact integer coefficients.
-
-    Arithmetic is exact for powers <= cutoff and drops everything above.
-    """
-
-    __slots__ = ("coeffs", "cutoff")
-
-    def __init__(self, coeffs, cutoff):
-        cs = list(coeffs)[: cutoff + 1]
-        cs += [0] * (cutoff + 1 - len(cs))
-        self.coeffs = [int(c) for c in cs]
-        self.cutoff = cutoff
-
-    def coeff(self, i):
-        if i < 0:
-            return 0
-        if i > self.cutoff:
-            raise IndexError(f"coefficient {i} beyond cutoff {self.cutoff}")
-        return self.coeffs[i]
-
-    def __add__(self, other):
-        if self.cutoff != other.cutoff:
-            raise ValueError("cutoff mismatch")
-        return IntSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.cutoff
-        )
-
-    def __mul__(self, other):
-        if self.cutoff != other.cutoff:
-            raise ValueError("cutoff mismatch")
-        N = self.cutoff
-        out = [0] * (N + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(0, N - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return IntSeries(out, N)
-
-    def shift(self, k):
-        """Multiply by q^k, dropping overflow past the cutoff."""
-        return IntSeries([0] * k + self.coeffs, self.cutoff)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntSeries)
-            and self.cutoff == other.cutoff
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"IntSeries({self.coeffs}, cutoff={self.cutoff})"
-
-    @staticmethod
-    def one(cutoff):
-        return IntSeries([1], cutoff)
-
-
 def series_partition_gf(N):
-    """Coefficients p(0..N) of prod_{s>=1} 1/(1-q^s), by the Euler DP."""
-    p = [0] * (N + 1)
-    p[0] = 1
-    for s in range(1, N + 1):
-        for v in range(s, N + 1):
-            p[v] += p[v - s]
-    return IntSeries(p, N)
+    """p(0..N) as the IntPoly of prod_{s>=1} 1/(1-q^s) up to q^N."""
+    return series_bounded_parts(N, N)
 
 
 def series_bounded_parts(max_size, N):
-    """Truncated series of prod_{s=1}^{max_size} 1/(1-q^s): partitions with
-    all parts <= max_size.  By conjugation this also counts partitions into
-    at most max_size parts."""
+    """prod_{s=1}^{max_size} 1/(1-q^s) up to q^N as an IntPoly, by the
+    Euler DP: partitions with all parts <= max_size.  By conjugation this
+    also counts partitions into at most max_size parts."""
     p = [0] * (N + 1)
     p[0] = 1
     for s in range(1, min(max_size, N) + 1):
         for v in range(s, N + 1):
             p[v] += p[v - s]
-    return IntSeries(p, N)
+    return IntPoly(p)
 
 
 def window_state_to_partition(bits, k):

@@ -12,9 +12,7 @@ coefficient or the identity is simply false in that range.
 from dataclasses import dataclass
 
 from .partitions import (
-    IntSeries,
     bounded_counts,
-    count_distinct_exactly_k,
     distinct_bounded_counts,
     durfee_decompose,
     enumerate_partitions,
@@ -123,14 +121,15 @@ def verify_durfee_exact(N, n_offset):
                 return False
 
     p = series_partition_gf(N)
-    total = IntSeries([], N)
+    total = IntPoly()
     k = max(-n, 0)
     while k * (n + k) <= N:
         right = series_bounded_parts(k, N)  # <= k parts, by conjugation
         below = series_bounded_parts(n + k, N)
         total = total + (right * below).shift(k * (n + k))
         k += 1
-    return total == p
+    # the factors are exact only up to q^N, so only that prefix is compared
+    return IntPoly(total.coeffs[:N + 1]) == p
 
 
 def verify_euler(q, z, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
@@ -184,24 +183,24 @@ def verify_euler_exact(N, K):
     checked against two partition counts: staircase-shifted box partitions
     and partitions into distinct nonnegative parts."""
     # z-degrees above N + 1 have no term and are not listed
+    fewer = [0] * (N + 1)  # k - 1 distinct positive parts; none at k = 0
     for k, poly in enumerate(_z_coefficients(N + 1, K)):
         deg = poly.degree if poly.coeffs else 0
         stair = k * (k - 1) // 2
         boxes = bounded_counts(max(deg - stair, 0), k, N - k + 1)
+        # k distinct positive parts summing to n <= N are all at most N
+        exactly = distinct_bounded_counts(N, k, N)
         for n in range(0, deg + 1):
             c = poly.coeff(n)
             boxed = boxes[n - stair] if n >= stair else 0
             if c != boxed:
                 return False
-            if n <= N:
-                # up to q^N the truncated product agrees with the infinite
-                # one, whose z^k q^n coefficient counts k distinct parts
-                # >= 0: either all positive or a zero part plus k-1 positive
-                distinct = count_distinct_exactly_k(n, k)
-                if k >= 1:
-                    distinct += count_distinct_exactly_k(n, k - 1)
-                if c != distinct:
-                    return False
+            # up to q^N the truncated product agrees with the infinite one,
+            # whose z^k q^n coefficient counts k distinct parts >= 0: either
+            # all positive or a zero part plus k-1 positive
+            if n <= N and c != exactly[n] + fewer[n]:
+                return False
+        fewer = exactly
     return True
 
 

@@ -279,6 +279,17 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_label_out_of_range_is_input_error(self, capsys):
+        # a pi sample can rank a label past the particles a narrow window holds
+        code = main(
+            ["simulate", "--q", "0.9", "--window=-4:4", "--window-eps", "0.6",
+             "--d", "2", "--T", "1", "--replicas", "20", "--seed", "1"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_contamination_exit1(self, capsys):
         code = main(
             ["simulate", "--q", "0.5", "--window=-6:6", "--replicas", "2",
@@ -309,3 +320,30 @@ class TestUsage:
 
     def test_bad_seed(self):
         assert main(SIM_ARGS[:-4] + ["--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--q", "0.5", "--window=-25:25", "--T", "inf",
+             "--replicas", "1"],
+            ["simulate", "--q", "0.5", "--window=-25:25", "--c", "nan"],
+            ["dist", "--law", "second-class", "--q", "0.5", "--c", "nan",
+             "--d", "1"],
+            ["simulate", "--q", "0.5", "--window=-25:25", "--window-eps", "nan"],
+            ["simulate", "--q", "0.5", "--window=-25:25",
+             "--max-contamination", "nan"],
+            ["simulate", "--q", "0.5", "--window=-25:25",
+             "--max-contamination", "-0.1"],
+            ["verify", "--identity", "all", "--q", "0.5", "--tol", "nan"],
+            ["verify", "--identity", "all", "--q", "0.5", "--tol", "-1"],
+            ["verify", "--identity", "euler", "--q", "0.5", "--z", "inf"],
+        ],
+        ids=["T-inf", "simulate-c-nan", "dist-c-nan", "window-eps-nan",
+             "max-contamination-nan", "max-contamination-negative", "tol-nan",
+             "tol-negative", "z-inf"],
+    )
+    def test_nonfinite_or_negative_float_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage:" in err and "Traceback" not in err

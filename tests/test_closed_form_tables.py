@@ -264,3 +264,33 @@ def test_qbinomial_suite_catches_one_bumped_row_coefficient(monkeypatch):
 
     monkeypatch.setattr(verify, "qbinomial_row", bumped)
     assert not verify.verify_qbinomial_exact(7)
+
+
+def test_durfee_suite_catches_one_bumped_series_coefficient(monkeypatch):
+    assert verify.verify_durfee_exact(10, 0)
+    real = verify.series_bounded_parts
+
+    def bumped(max_size, N):
+        series = real(max_size, N)
+        if max_size == 2:
+            coeffs = list(series.coeffs)
+            coeffs[5] += 1
+            series = IntPoly(coeffs)
+        return series
+
+    monkeypatch.setattr(verify, "series_bounded_parts", bumped)
+    assert not verify.verify_durfee_exact(10, 0)
+
+
+def test_euler_suite_catches_one_bumped_distinct_count(monkeypatch):
+    assert verify.verify_euler_exact(12, 5)
+    real = verify.distinct_bounded_counts
+
+    def bumped(n_max, k, m):
+        table = real(n_max, k, m)
+        if k == 3:
+            table[7] += 1
+        return table
+
+    monkeypatch.setattr(verify, "distinct_bounded_counts", bumped)
+    assert not verify.verify_euler_exact(12, 5)

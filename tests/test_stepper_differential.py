@@ -148,11 +148,9 @@ def oracle_simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin
 
     def record(idx):
         bits = state.xi.bits
-        rep.xi_probe_occ[idx] += bits
         xi_acc[:] += bits
         X = oracle_second_class_positions(state) if d else ()
         eta = oracle_eta_from(state) if d else state.xi
-        rep.eta_probe_occ[idx] += eta.bits
         eta_acc[:] += eta.bits
         rep.total_probes += 1
         if d:

@@ -116,34 +116,41 @@ def _parse_window(text):
     return lo, hi
 
 
+def _parsed(convert, text, expected):
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+
 def _parse_span(text):
     """Integer or inclusive lo:hi range."""
-    if ":" in text:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise argparse.ArgumentTypeError("range needs lo <= hi")
-        return lo, hi
-    v = int(text)
-    return v, v
+    def pair(t):
+        lo, sep, hi = t.partition(":")
+        return int(lo), int(hi if sep else lo)
+
+    lo, hi = _parsed(pair, text, "an integer or lo:hi")
+    if lo > hi:
+        raise argparse.ArgumentTypeError("range needs lo <= hi")
+    return lo, hi
 
 
 def _q_arg(text):
-    v = float(text)
+    v = _parsed(float, text, "a number")
     if not 0.0 < v < 1.0:
         raise argparse.ArgumentTypeError("q must lie in (0,1)")
     return v
 
 
 def _finite_arg(text):
-    v = float(text)
+    v = _parsed(float, text, "a finite number")
     if not math.isfinite(v):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return v
 
 
 def _seed_arg(text):
-    v = int(text)
+    v = _parsed(int, text, "an integer")
     if not 0 <= v < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in uint64")
     return v
@@ -163,6 +170,8 @@ def cmd_verify(parser, args):
     _require(parser, args.K >= 0, "--K must be >= 0")
     _require(parser, args.m >= 0, "--m must be >= 0")
     _require(parser, args.tol is None or args.tol >= 0, "--tol must be >= 0")
+    _require(parser, not (args.exact and args.tol is not None),
+             "--tol applies to numeric checks only; the exact suites have none")
     rows = []
     header = [
         "identity",

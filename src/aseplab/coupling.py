@@ -22,18 +22,11 @@ from functools import reduce
 import itertools
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
-from .blocking import (
-    RelationCheck,
-    WindowState,
-    _log1p_qpow,
-    marginal,
-    prob_left_particles,
-    prob_window_particles,
-    sample_blocking,
-)
+from .blocking import RelationCheck, WindowState, _log1p_qpow, sample_blocking
 from .qseries import (
     DEFAULT_POLICY,
     QParam,
@@ -71,21 +64,30 @@ class CoupledState:
     The occupancies live in the bytearray `occ`; `xi.bits` is a numpy view
     of that same buffer.  Construction copies the given window in, so the
     caller's WindowState is never touched.  `occupied` lists the occupied
-    sites in increasing order.  Change the state only through
-    apply_transition, which keeps `occ`, `occupied` and `labels` consistent.
+    sites in increasing order.  `walls` lists, in increasing order, the
+    window indices k with occ[k] != occ[k-1]: the domain walls, one per
+    enabled particle hop.  A hop keeps its own bond a wall and toggles only
+    the two bonds beside it, so apply_transition updates the list with one
+    bisect, and an event costs O(log walls + d) Python steps rather than a
+    walk over every wall.  Change the state only through apply_transition,
+    which keeps `occ`, `occupied`, `walls` and `labels` consistent.
     """
 
     xi: WindowState
     labels: tuple
     occ: bytearray = field(init=False, repr=False)
     occupied: list = field(init=False, repr=False)
+    walls: list = field(init=False, repr=False)
+    # (q, rates and running sums if site lo is empty, the same if occupied)
+    _rate_tables: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.labels = as_labels(self.labels)
         lo, hi = self.xi.lo, self.xi.hi
-        self.occ = bytearray(self.xi.bits.tobytes())
-        self.xi = WindowState(lo, hi, np.frombuffer(self.occ, dtype=np.uint8))
-        self.occupied = [lo + i for i, b in enumerate(self.occ) if b]
+        occ = self.occ = bytearray(self.xi.bits.tobytes())
+        self.xi = WindowState(lo, hi, np.frombuffer(occ, dtype=np.uint8))
+        self.occupied = [lo + i for i, b in enumerate(occ) if b]
+        self.walls = [k for k in range(1, len(occ)) if occ[k] != occ[k - 1]]
         if self.labels and self.labels[-1] >= len(self.occupied):
             raise LabelOutOfRange(
                 f"label {self.labels[-1]} but only "
@@ -100,10 +102,11 @@ class CoupledState:
         return CoupledState(xi=self.xi, labels=self.labels)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """kind 'particle': the particle at site idx hops to idx+step.
-    kind 'label': label slot j=idx moves to particle index x_j + step."""
+    kind 'label': label slot j=idx moves to particle index x_j + step.
+    A named tuple, since every event builds one: it takes about 60% of a
+    frozen dataclass's time to build."""
 
     kind: str
     idx: int
@@ -118,67 +121,93 @@ class EventRecord:
     step: int
 
 
-def _moves(s, q):
-    """Codes (kind, idx, step) and rates of every enabled move, in the fixed
-    order the draw relies on: particle hops by bond from left to right,
-    then label swaps by slot, right swap before left swap.
+def _wall_rates(s, q):
+    """Rates of the particle hops at s.walls, left to right, and their
+    running sums.  A 1->0 wall is a right hop at rate 1, a 0->1 wall a left
+    hop at rate q, and the wall types alternate, so the rates are
+    1, q, 1, q, ... when site lo is occupied and q, 1, q, ... when it is
+    empty.  Both patterns are built once per state and q, one entry per
+    bond of the window; the first len(s.walls) entries are the live ones."""
+    tables = s._rate_tables
+    if tables is None or tables[0] != q:
+        n = len(s.occ) - 1
+        tables = (q,) + tuple(
+            (rates, list(itertools.accumulate(rates)))
+            for rates in (([q, 1.0] * n)[:n], ([1.0, q] * n)[:n])
+        )
+        s._rate_tables = tables
+    return tables[1 + s.occ[0]]
 
-    A particle hop is enabled exactly at a domain wall, a bond joining a
-    particle and a hole, so the walk jumps from wall to wall with
-    bytearray.find.  All walls lie in the active span from the first
-    particle - 1 to the last hole (sites left of it are empty, sites right
-    of it occupied); in the packed ground state that span is the single
-    bond where the first particle sits at last hole + 1.
-    """
-    occ, lo = s.occ, s.xi.lo
+
+def _hop(s, k):
+    """The particle hop across wall k: right from k-1 if that site is
+    occupied, left from k otherwise."""
+    if s.occ[k - 1]:
+        return Transition("particle", s.xi.lo + k - 1, 1)
+    return Transition("particle", s.xi.lo + k, -1)
+
+
+def _label_moves(s, q):
+    """Enabled label swaps as (slot, step) codes and their rates, by slot,
+    right swap before left swap."""
     codes, rates = [], []
-    v = occ[0]
-    k = occ.find(v ^ 1, 1)
-    while k >= 0:  # bond (k-1, k) joins a v and a 1-v
-        if v:
-            codes.append(("particle", lo + k - 1, 1))
-            rates.append(1.0)
-        else:
-            codes.append(("particle", lo + k, -1))
-            rates.append(q)
-        v ^= 1
-        k = occ.find(v ^ 1, k + 1)
     labels = s.labels
     if labels:
         occupied = s.occupied
         n_part = len(occupied)
         for slot, x in enumerate(labels):
+            site = occupied[x]
             right = x + 1
-            if right < n_part and right not in labels and occupied[right] == occupied[x] + 1:
-                codes.append(("label", slot, 1))
+            if right < n_part and occupied[right] == site + 1 and right not in labels:
+                codes.append((slot, 1))
                 rates.append(q)
             left = x - 1
-            if left >= 0 and left not in labels and occupied[left] == occupied[x] - 1:
-                codes.append(("label", slot, -1))
+            if left >= 0 and occupied[left] == site - 1 and left not in labels:
+                codes.append((slot, -1))
                 rates.append(1.0)
     return codes, rates
 
 
 def enabled_transitions(s, p):
-    """All currently possible moves with their rates.
+    """All currently possible moves with their rates, in the fixed order
+    choose_transition draws from: particle hops by wall from left to right,
+    then label swaps by slot, right swap before left swap.
 
     Particle hops respect exclusion and stay inside the window.  A label
     swap needs its two particles on adjacent sites and the target particle
     unlabeled; swaps whose partner particle lies outside the window are
     dropped with the boundary (the contamination monitor accounts for them).
     """
-    codes, rates = _moves(s, p.q)
-    return [(Transition(*code), r) for code, r in zip(codes, rates)]
+    rates, _ = _wall_rates(s, p.q)
+    moves = [(_hop(s, k), r) for k, r in zip(s.walls, rates)]
+    codes, label_rates = _label_moves(s, p.q)
+    moves += [(Transition("label", *code), r) for code, r in zip(codes, label_rates)]
+    return moves
 
 
 def apply_transition(s, tr):
-    """Apply one move to s in place and return s."""
+    """Apply one enabled move to s in place and return s."""
     if tr.kind == "particle":
+        occ = s.occ
         i = tr.idx - s.xi.lo
-        s.occ[i] = 0
-        s.occ[i + tr.step] = 1
+        occ[i] = 0
+        occ[i + tr.step] = 1
         # a hop into an adjacent hole keeps the particle's rank
         s.occupied[bisect_left(s.occupied, tr.idx)] = tr.idx + tr.step
+        # the hop's bond k stays a wall; the bonds k-1 and k+1 toggle
+        walls = s.walls
+        k = i + (tr.step > 0)
+        w = bisect_left(walls, k)
+        if k + 1 < len(occ):
+            if w + 1 < len(walls) and walls[w + 1] == k + 1:
+                del walls[w + 1]
+            else:
+                walls.insert(w + 1, k + 1)
+        if k > 1:
+            if w and walls[w - 1] == k - 1:
+                del walls[w - 1]
+            else:
+                walls.insert(w, k - 1)
     else:
         labels = list(s.labels)
         labels[tr.idx] += tr.step
@@ -188,25 +217,30 @@ def apply_transition(s, tr):
 
 def choose_transition(s, p, rng):
     """Exponential holding time at the total rate, then a transition drawn
-    proportionally to its rate.  Draw order is fixed (holding time first)
-    so trajectories are seed-reproducible."""
-    codes, rates = _moves(s, p.q)
-    total = sum(rates)
+    proportionally to its rate, in enabled_transitions order.  Draw order
+    is fixed (holding time first) so trajectories are seed-reproducible."""
+    walls = s.walls
+    n = len(walls)
+    rates, sums = _wall_rates(s, p.q)
+    codes, label_rates = _label_moves(s, p.q)
+    # the builtin sum of the whole rate list: from Python 3.12 it rounds
+    # differently from the running sums
+    total = sum(rates[:n] + label_rates)
     if total <= 0.0:
         raise AbsorbingState("no enabled transitions")
     dt = rng.exponential(1.0 / total)
     u = rng.random() * total
     # first move whose running rate sum exceeds u; the last if rounding
     # leaves u at or above every partial sum
-    i = bisect_right(list(itertools.accumulate(rates)), u)
-    return Transition(*codes[min(i, len(codes) - 1)]), dt
-
-
-def gillespie_step(s, p, rng):
-    """One exact continuous-time step of the coupled chain.  Unlike
-    apply_transition it leaves s unchanged and returns a new state."""
-    tr, dt = choose_transition(s, p, rng)
-    return apply_transition(s.copy(), tr), dt
+    i = bisect_right(sums, u, 0, n)
+    if i == n and codes:
+        acc = sums[n - 1] if n else 0.0
+        for code, r in zip(codes, label_rates):
+            acc += r
+            if u < acc:
+                break
+        return Transition("label", *code), dt
+    return _hop(s, walls[min(i, n - 1)]), dt
 
 
 def second_class_positions(s):
@@ -403,32 +437,6 @@ def conditional_xi_given_labels(m, k, p, pol=DEFAULT_POLICY):
     return math.exp(logv)
 
 
-def conditional_xi_given_labels_factored(m, k, p, pol=DEFAULT_POLICY):
-    """Same probability assembled from the independent pieces the product
-    measure splits it into: site marginals, the left-tail count law, and
-    the between-window count laws."""
-    mvec = tuple(int(v) for v in m)
-    kvec = as_labels(k)
-    d = len(mvec)
-    if d != len(kvec) or d < 1:
-        raise ValueError("m and k must share a positive length")
-    if any(b <= a for a, b in zip(mvec, mvec[1:])):
-        raise ValueError("positions must be strictly increasing")
-    if any(kh > mh for kh, mh in _hat_pairs(mvec, kvec)):
-        return 0.0
-    out = 1.0
-    for mj in mvec:
-        out *= marginal(mj, 1, p)
-    out *= prob_left_particles(mvec[0] - 1, kvec[0], p, pol)
-    for j in range(1, d):
-        kh = kvec[j] - kvec[j - 1] - 1
-        mh = mvec[j] - mvec[j - 1] - 1
-        if mh == 0:
-            continue  # adjacent marked sites, nothing in between
-        out *= prob_window_particles(mvec[j - 1], mvec[j], kh, p)
-    return out
-
-
 def mean_and_sem(total, total_sq, n):
     """Mean and standard error from accumulated sums over n replicas."""
     mean = total / n
@@ -608,36 +616,40 @@ def simulate_stationary(
     occ = state.occ
     xi_snaps, x_seen, labels_seen = [], [], []
 
-    def record():
-        xi_snaps.append(bytes(occ))
+    def record(n):
+        # the n probes of one holding interval all see the same state
+        xi_snaps.extend([bytes(occ)] * n)
         if d:
-            x_seen.append(second_class_positions(state))
-            labels_seen.append(state.labels)
+            x_seen.extend([second_class_positions(state)] * n)
+            labels_seen.extend([state.labels] * n)
 
-    record()
+    record(1)
     idx = 1
     t = 0.0
     while idx < n_probes:
         tr, dt = choose_transition(state, p, rng)
-        t_next = t + dt
-        while idx < n_probes and probe_times[idx] <= t_next:
-            record()
-            idx += 1
+        t += dt
+        # probes idx..nxt-1, the ones at or before t, fall in the holding
+        # interval that ends here
+        nxt = bisect_right(probe_times, t, idx)
+        if nxt > idx:
+            record(nxt - idx)
+            idx = nxt
         if keep_log:
-            rep.event_log.append(EventRecord(t_next, tr.kind, tr.idx, tr.step))
+            rep.event_log.append(EventRecord(t, tr.kind, tr.idx, tr.step))
         apply_transition(state, tr)
-        t = t_next
         rep.n_events += 1
 
     # one row per probe, in probe order; eta drops the labeled particles
     xi_rows = np.frombuffer(b"".join(xi_snaps), dtype=np.uint8).reshape(n_probes, -1)
     eta_rows = xi_rows.copy()
-    if d:
-        eta_rows[np.arange(n_probes)[:, None], np.array(x_seen) - lo] = 0
     rep.total_probes += n_probes
-    rep.contaminated_probes += sum(
-        X[0] < lo + margin or X[-1] > hi - margin for X in x_seen
-    )
+    if d:
+        X = np.array(x_seen)
+        eta_rows[np.arange(n_probes)[:, None], X - lo] = 0
+        rep.contaminated_probes += int(
+            ((X[:, 0] < lo + margin) | (X[:, -1] > hi - margin)).sum()
+        )
     rep.N_violations += int(
         (_conserved_N_rows(xi_rows, lo, hi) != _conserved_N_rows(eta_rows, lo, hi) - d).sum()
     )

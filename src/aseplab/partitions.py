@@ -199,22 +199,3 @@ def series_bounded_parts(max_size, N):
         for v in range(s, N + 1):
             p[v] += p[v - s]
     return IntPoly(p)
-
-
-def window_state_to_partition(bits, k):
-    """Partition of the total left displacement of k particles in a finite
-    window, relative to the packed state with all k at the right end.
-
-    bits[j] is the occupancy of the j-th window site, left to right.  The
-    i-th particle from the left at (1-indexed) position p_i contributes the
-    part (width - k + i) - p_i; zero parts are dropped.
-    """
-    bits = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0/1")
-    width = len(bits)
-    positions = [j + 1 for j, b in enumerate(bits) if b == 1]
-    if len(positions) != k:
-        raise ValueError(f"window holds {len(positions)} particles, expected {k}")
-    parts = [(width - k + i + 1) - p for i, p in enumerate(positions)]
-    return as_partition([d for d in parts if d > 0])

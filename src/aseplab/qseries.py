@@ -256,33 +256,6 @@ def pochhammer_inversion(k, q):
     return lhs, rhs
 
 
-def shifted_pochhammer_ratio(c, d, j, m_j, m_prev, q, pol=DEFAULT_POLICY):
-    """Both sides of the shifted Pochhammer ratio used when telescoping the
-    second class position law:
-
-      (-q^{c+d+2-j-m_j};q)_{mhat} / (-q^{c+d-j-m_j};q)_infty
-        = 1 / ((1+q^{c+d-j-m_j})(1+q^{c+d+1-j-m_j})(-q^{c+d-(j-1)-m_prev};q)_infty)
-
-    with mhat = m_j - m_prev - 1.
-    """
-    if not (2 <= j <= d):
-        raise ValueError("need 2 <= j <= d")
-    if not (m_prev < m_j):
-        raise ValueError("need m_prev < m_j")
-    qv = _qval(q)
-    mhat = m_j - m_prev - 1
-
-    num = pochhammer_finite(-(qv ** (c + d + 2 - j - m_j)), qv, mhat)
-    den, _ = pochhammer_infinite(-(qv ** (c + d - j - m_j)), qv, pol)
-    lhs = num / den
-
-    f1 = 1.0 + qv ** (c + d - j - m_j)
-    f2 = 1.0 + qv ** (c + d + 1 - j - m_j)
-    tail, _ = pochhammer_infinite(-(qv ** (c + d - (j - 1) - m_prev)), qv, pol)
-    rhs = 1.0 / (f1 * f2 * tail)
-    return lhs, rhs
-
-
 def jacobi_triple_product(z, q, pol=DEFAULT_POLICY):
     """Both sides of sum_l q^{l(l+1)/2} z^l = (q;q)_inf (-qz;q)_inf (-1/z;q)_inf.
 

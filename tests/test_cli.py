@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -56,6 +57,14 @@ class TestVerifyCommand:
         names = {l.split(",")[0] for l in lines[1:]}
         assert names == {"durfee_exact", "euler_exact", "qbinomial_exact", "q_pascal"}
         assert meta["exact"] is True
+
+    def test_tol_with_exact_usage_error(self, capsys):
+        # no exact suite reads a tolerance, so meta must not claim one
+        argv = ["verify", "--identity", "all", "--exact", "--N", "3", "--tol", "0.5"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--tol" in err and "Traceback" not in err
 
     def test_exact_jacobi_rejected(self, capsys):
         assert main(["verify", "--identity", "jacobi", "--exact"]) == 2
@@ -347,3 +356,24 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--q", "0.5", "--window=-25:25", "--c", "abc"],
+            ["simulate", "--q", "abc", "--window=-25:25"],
+            ["simulate", "--q", "0.5", "--window=-25:25", "--seed", "abc"],
+            ["simulate", "--q", "0.5", "--window=-25:25", "--T", "1e"],
+            ["verify", "--identity", "euler", "--q", "0.5", "--z", "abc"],
+            ["dist", "--law", "second-class", "--q", "0.5", "--m", "a:b"],
+            ["dist", "--law", "second-class", "--q", "0.5", "--m", "1:2:3"],
+            ["dist", "--law", "N", "--q", "0.5", "--n", "x"],
+        ],
+        ids=["c", "q", "seed", "T", "z", "span-letters", "span-three-parts",
+             "span-single"],
+    )
+    def test_unparsable_value_names_no_private_function(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err and "expected" in err
+        assert "invalid" not in err and not re.search(r"\b_\w", err)

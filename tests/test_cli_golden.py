@@ -1,7 +1,9 @@
 """Golden bytes: SHA-256 of the CSV output of fixed commands, timestamp
-removed.  The digests were recorded before the exact suites and the dist
-grids were rewritten to work a table at a time; any change to a printed
-byte (a float's last digit, a row's order, a verdict) fails here.
+removed.  The verify and dist digests were recorded before the exact
+suites and the dist grids were rewritten to work a table at a time, the
+simulate digests before the stepper kept an incremental list of domain
+walls; any change to a printed byte (a float's last digit, a row's order,
+a verdict) or to how a seeded run consumes its random stream fails here.
 """
 
 import hashlib
@@ -58,6 +60,23 @@ GOLDEN = {
     "dist-pi": (
         ["dist", "--law", "pi", "--q", "0.5", "--d", "3", "--cap", "30"],
         "c4f548a228ec9ce87e205c38be81b1173838acdea5c0d7d428c77ab80cf15908",
+    ),
+    # dense probing: 501 records per replica, several per holding interval
+    "simulate-dense": (
+        ["simulate", "--q", "0.5", "--window=-25:25", "--d", "1", "--T", "50",
+         "--probes", "500", "--replicas", "4", "--seed", "11"],
+        "5663162a63df55bbbeb6ec79e2fbe00f6bb90ca6e7a9ab3798aa78f02f4960dc",
+    ),
+    # wide window at q = 0.9: about 20 domain walls per event
+    "simulate-wide": (
+        ["simulate", "--q", "0.9", "--window=-160:160", "--d", "3", "--T", "20",
+         "--replicas", "2", "--seed", "12"],
+        "81292180200a3e72d8e5ee3691d94305940508e8b49e46d7e75b021fc29e044a",
+    ),
+    "simulate-d0": (
+        ["simulate", "--q", "0.5", "--c", "0.4", "--window=-25:25", "--d", "0",
+         "--T", "30", "--replicas", "6", "--seed", "13"],
+        "78401840859333d470e0da8630bdb1e0df7668135403c73b8beedb71a870882d",
     ),
 }
 

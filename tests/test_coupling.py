@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from aseplab.blocking import AsepParams, WindowState, marginal, prob_left_particles
+from aseplab.blocking import (
+    AsepParams,
+    WindowState,
+    marginal,
+    prob_left_particles,
+    prob_window_particles,
+)
 from aseplab.coupling import (
     AbsorbingState,
     BoundaryContamination,
@@ -14,13 +20,13 @@ from aseplab.coupling import (
     LabelOutOfRange,
     SimulationReport,
     Transition,
+    _hat_pairs,
     apply_transition,
+    as_labels,
     choose_transition,
     conditional_xi_given_labels,
-    conditional_xi_given_labels_factored,
     enabled_transitions,
     eta_from,
-    gillespie_step,
     labels_from_positions,
     pi_detailed_balance_check,
     pi_label,
@@ -56,6 +62,36 @@ def state_from_sites(lo, hi, occupied, labels):
 
 
 P5 = AsepParams(q=0.5, c=0.0)
+
+
+def gillespie_step(s, p, rng):
+    """One exact continuous-time step of the coupled chain.  Unlike
+    apply_transition it leaves s unchanged and returns a new state."""
+    tr, dt = choose_transition(s, p, rng)
+    return apply_transition(s.copy(), tr), dt
+
+
+def conditional_xi_given_labels_factored(m, k, p):
+    """conditional_xi_given_labels assembled from the independent pieces the
+    product measure splits it into: site marginals, the left-tail count
+    law, and the between-window count laws."""
+    mvec = tuple(int(v) for v in m)
+    kvec = as_labels(k)
+    d = len(mvec)
+    assert d == len(kvec) >= 1 and all(a < b for a, b in zip(mvec, mvec[1:]))
+    if any(kh > mh for kh, mh in _hat_pairs(mvec, kvec)):
+        return 0.0
+    out = 1.0
+    for mj in mvec:
+        out *= marginal(mj, 1, p)
+    out *= prob_left_particles(mvec[0] - 1, kvec[0], p)
+    for j in range(1, d):
+        kh = kvec[j] - kvec[j - 1] - 1
+        mh = mvec[j] - mvec[j - 1] - 1
+        if mh == 0:
+            continue  # adjacent marked sites, nothing in between
+        out *= prob_window_particles(mvec[j - 1], mvec[j], kh, p)
+    return out
 
 
 class TestLabelMapping:

@@ -25,7 +25,6 @@ from aseplab.qseries import (
     q_pascal_check,
     qbinomial,
     qbinomial_poly,
-    shifted_pochhammer_ratio,
 )
 
 
@@ -183,6 +182,29 @@ def test_pochhammer_inversion_grid():
         for k in range(0, 21):
             lhs, rhs = pochhammer_inversion(k, q)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+
+def shifted_pochhammer_ratio(c, d, j, m_j, m_prev, q):
+    """Both sides of the shifted Pochhammer ratio used when telescoping the
+    second class position law:
+
+      (-q^{c+d+2-j-m_j};q)_{mhat} / (-q^{c+d-j-m_j};q)_infty
+        = 1 / ((1+q^{c+d-j-m_j})(1+q^{c+d+1-j-m_j})(-q^{c+d-(j-1)-m_prev};q)_infty)
+
+    with mhat = m_j - m_prev - 1.
+    """
+    assert 2 <= j <= d and m_prev < m_j
+    mhat = m_j - m_prev - 1
+
+    num = pochhammer_finite(-(q ** (c + d + 2 - j - m_j)), q, mhat)
+    den, _ = pochhammer_infinite(-(q ** (c + d - j - m_j)), q)
+    lhs = num / den
+
+    f1 = 1.0 + q ** (c + d - j - m_j)
+    f2 = 1.0 + q ** (c + d + 1 - j - m_j)
+    tail, _ = pochhammer_infinite(-(q ** (c + d - (j - 1) - m_prev)), q)
+    rhs = 1.0 / (f1 * f2 * tail)
+    return lhs, rhs
 
 
 def test_shifted_pochhammer_ratio_points():

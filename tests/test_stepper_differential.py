@@ -4,8 +4,9 @@ The oracle below is the earlier per-event stepper, kept verbatim: it
 rescans every bond, builds a Transition for every enabled move and copies
 the whole state on each event.  The package's stepper must reproduce it
 exactly -- same enabled moves in the same order, same draws, same event
-log and the same report, field by field -- and keep its ordered list of
-occupied sites equal to the occupancy bits after every step.
+log and the same report, field by field -- and keep its ordered lists of
+occupied sites and of domain walls equal to the ones the occupancy bits
+give after every step.
 """
 
 from dataclasses import dataclass, fields
@@ -26,10 +27,10 @@ from aseplab.coupling import (
     as_labels,
     choose_transition,
     enabled_transitions,
-    gillespie_step,
     sample_pi,
     simulate_stationary,
 )
+from test_coupling import gillespie_step
 
 # ------------------------------------------------------------------ oracle
 
@@ -203,8 +204,10 @@ EPS = 0.45
 
 
 def assert_consistent(s):
-    assert s.occupied == (np.flatnonzero(s.xi.bits) + s.xi.lo).tolist()
-    assert bytes(s.xi.bits) == bytes(s.occ)
+    bits = s.xi.bits
+    assert s.occupied == (np.flatnonzero(bits) + s.xi.lo).tolist()
+    assert s.walls == (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+    assert bytes(bits) == bytes(s.occ)
 
 
 def assert_same_report(a, b):
@@ -218,8 +221,10 @@ def assert_same_report(a, b):
 
 def lockstep(s, o, p, seed, steps):
     """Step the in-place state s and the oracle state o from one seed,
-    comparing the enabled moves, the draw and the state after each event."""
+    comparing the enabled moves, the draw and the state after each event.
+    Returns the moves taken."""
     rng_s, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
+    taken = []
     for _ in range(steps):
         assert enabled_transitions(s, p) == oracle_enabled_transitions(o, p)
         tr, dt = choose_transition(s, p, rng_s)
@@ -229,6 +234,8 @@ def lockstep(s, o, p, seed, steps):
         assert s.labels == o.labels
         assert np.array_equal(s.xi.bits, o.xi.bits)
         assert_consistent(s)
+        taken.append(tr)
+    return taken
 
 
 @pytest.mark.parametrize("q", sorted(WINDOWS))
@@ -271,6 +278,31 @@ def test_steps_match_oracle(q, d):
         s = CoupledState(xi=xi, labels=labels)
         assert_consistent(s)
         lockstep(s, OracleState(xi=xi.copy(), labels=labels), p, seed, 300)
+
+
+def test_wide_window_matches_oracle():
+    # the benchmark's wide geometry: about 20 walls per event at q = 0.9
+    p = AsepParams(q=0.9, c=0.0)
+    rng = np.random.default_rng(31)
+    xi = sample_blocking((-160, 160), p, rng, eps=1e-6)
+    labels = sample_pi(3, p.q, rng)
+    s = CoupledState(xi=xi, labels=labels)
+    assert_consistent(s)
+    assert len(s.walls) >= 10
+    lockstep(s, OracleState(xi=xi.copy(), labels=labels), p, 32, 2000)
+
+
+@pytest.mark.parametrize("labels", [(), (0,), (1, 2)])
+def test_hops_across_the_edge_bonds(labels):
+    # a hop across the first bond has no wall to its left to toggle and one
+    # across the last bond none to its right
+    bits = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
+    xi = WindowState(lo=-2, hi=3, bits=bits)
+    s = CoupledState(xi=xi, labels=labels)
+    p = AsepParams(q=0.5)
+    taken = lockstep(s, OracleState(xi=xi.copy(), labels=labels), p, 41, 400)
+    edge = {(tr.idx, tr.step) for tr in taken if tr.kind == "particle"}
+    assert {(-2, 1), (-1, -1), (2, 1), (3, -1)} <= edge
 
 
 @pytest.mark.parametrize("labels", [(), (0,), (1, 3), (0, 1, 4)])

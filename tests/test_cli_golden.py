@@ -1,8 +1,9 @@
-"""Golden bytes: SHA-256 of the CSV output of fixed commands, timestamp
-removed.  The verify and dist digests were recorded before the exact
-suites and the dist grids were rewritten to work a table at a time, the
-simulate digests before the stepper kept an incremental list of domain
-walls; any change to a printed byte (a float's last digit, a row's order,
+"""Golden bytes: SHA-256 of the CSV or JSON output of fixed commands,
+timestamp removed.  The verify and dist digests were recorded before the
+exact suites and the dist grids were rewritten to work a table at a time,
+the simulate digests before the stepper kept an incremental list of domain
+walls, the `-d1`, `-d2` and `-json` dist digests before dist tables were
+streamed row by row; any change to a printed byte (a float's last digit, a row's order,
 a verdict) or to how a seeded run consumes its random stream fails here.
 """
 
@@ -60,6 +61,36 @@ GOLDEN = {
     "dist-pi": (
         ["dist", "--law", "pi", "--q", "0.5", "--d", "3", "--cap", "30"],
         "c4f548a228ec9ce87e205c38be81b1173838acdea5c0d7d428c77ab80cf15908",
+    ),
+    # d = 1 positions keys carry no comma, so they are written unquoted
+    "dist-positions-d1": (
+        ["dist", "--law", "positions", "--q", "0.7", "--c", "-1.7", "--d", "1",
+         "--m=-40:40"],
+        "66448b93a54b89f2d3910d50fc273936fd3f2373697e4be019e050fbc410c14b",
+    ),
+    "dist-positions-d2": (
+        ["dist", "--law", "positions", "--q", "0.5", "--c", "0.37", "--d", "2",
+         "--m=-30:31"],
+        "b4cc7375964e9d7537f6c33fdb83e7fd14892a0110ee14d22121315ab12ffc70",
+    ),
+    "dist-pi-d1": (
+        ["dist", "--law", "pi", "--q", "0.3", "--d", "1", "--cap", "40"],
+        "72ae2ad556aae0fc8a3f7f9212c490a8e345f8c1e0b9b66778b0f2fc56629f3a",
+    ),
+    "dist-N-json": (
+        ["dist", "--law", "N", "--q", "0.5", "--c", "0.37", "--n=-12:12",
+         "--format", "json"],
+        "d2c1f72504395b01914f6e8052acf64112f62bd83b3b0a13b6e930d4508cc46d",
+    ),
+    "dist-positions-json": (
+        ["dist", "--law", "positions", "--q", "0.2", "--c", "0.37",
+         "--d", "3", "--m=-12:14", "--format", "json"],
+        "ccd2bcd10c6b6b8eaa7f9290dc46ab8c4d4fb4210a7a237634ceef3aaf5cd1cf",
+    ),
+    "dist-pi-json": (
+        ["dist", "--law", "pi", "--q", "0.5", "--d", "3", "--cap", "30",
+         "--format", "json"],
+        "de1646687c9c99d1e51a6f7cbea8451f4a65113c17c246919970e3864f0e9be0",
     ),
     # dense probing: 501 records per replica, several per holding interval
     "simulate-dense": (

@@ -48,43 +48,48 @@ from .verify import (
 )
 
 
-def _fmt(x):
-    # floats first: nearly every cell of a dist table is one
+def _cell(x):
+    """One CSV cell: a float to 17 significant digits, None empty, a bool as
+    true/false, any other value as text, quoted when it holds a comma, a
+    quote or a newline."""
     if isinstance(x, float):
         return f"{x:.17g}"
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    return str(x)
-
-
-def _csv_quote(s):
+    s = str(x)
     if "," in s or '"' in s or "\n" in s:
         return '"' + s.replace('"', '""') + '"'
     return s
 
 
-def _emit(args, meta, header, rows):
-    """Serialize one table.  CSV: meta as a single # line, then header and
-    rows, formatted as they are written, so a long table is never held a
-    second time as text; JSON: {"meta", "rows"} with row dicts keyed by the
-    header."""
+def _csv_line(row):
+    return ",".join(map(_cell, row)) + "\n"
+
+
+def _key_prob_line(row):
+    """CSV line of a dist row (key, prob): the key is "sum" or integers
+    joined by commas, quoted if it holds one; prob is a float."""
+    key, prob = row
+    return f'"{key}",{prob:.17g}\n' if "," in key else f"{key},{prob:.17g}\n"
+
+
+def _emit(args, meta, header, rows, line=_csv_line):
+    """Serialize one table.  CSV: meta as a single # line, the header, then
+    one `line(row)` per row, written as the row arrives, so no table is held;
+    JSON: {"meta", "rows"} with row dicts keyed by the header."""
     if args.format == "json":
-        payload = {
-            "meta": meta,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        lines = [json.dumps(payload, indent=1, sort_keys=True)]
+        payload = {"meta": meta, "rows": [dict(zip(header, r)) for r in rows]}
+        lines = [json.dumps(payload, indent=1, sort_keys=True) + "\n"]
     else:
         lines = itertools.chain(
-            ["# " + json.dumps(meta, sort_keys=True), ",".join(header)],
-            (",".join(map(_csv_quote, map(_fmt, row))) for row in rows),
+            [f"# {json.dumps(meta, sort_keys=True)}\n{','.join(header)}\n"],
+            map(line, rows),
         )
     out = open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout)
     with out as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(lines)
 
 
 def _meta(args, extra=None):
@@ -173,37 +178,14 @@ def cmd_verify(parser, args):
     _require(parser, not (args.exact and args.tol is not None),
              "--tol applies to numeric checks only; the exact suites have none")
     rows = []
-    header = [
-        "identity",
-        "params",
-        "lhs",
-        "rhs",
-        "rel_dev",
-        "trunc_bound",
-        "tol",
-        "passed",
-    ]
+    header = ["identity", "params", "lhs", "rhs", "rel_dev", "trunc_bound",
+              "tol", "passed"]
 
-    def add(report):
-        pstr = ";".join(f"{k}={_fmt(v)}" for k, v in report.params.items())
-        rows.append(
-            [
-                report.name,
-                pstr,
-                report.lhs,
-                report.rhs,
-                report.rel_dev,
-                report.trunc_bound,
-                report.tol,
-                report.passed,
-            ]
-        )
-        return report.passed
-
-    def add_exact(name, params, ok):
-        pstr = ";".join(f"{k}={_fmt(v)}" for k, v in params.items())
-        rows.append([name, pstr, None, None, None, None, None, ok])
-        return ok
+    def add(name, params, passed, values=(None,) * 5):
+        # values: lhs .. tol of a numeric check; an exact suite has none
+        pstr = ";".join(f"{k}={_cell(v)}" for k, v in params.items())
+        rows.append([name, pstr, *values, passed])
+        return passed
 
     ok = True
     tol = args.tol
@@ -211,20 +193,20 @@ def cmd_verify(parser, args):
     if args.exact:
         if args.identity in ("durfee", "all"):
             for n in range(-3, 4):
-                ok &= add_exact(
+                ok &= add(
                     "durfee_exact",
                     {"N": args.N, "n_offset": n},
                     verify_durfee_exact(args.N, n),
                 )
         if args.identity in ("euler", "all"):
-            ok &= add_exact(
+            ok &= add(
                 "euler_exact",
                 {"N": args.N, "K": args.K},
                 verify_euler_exact(args.N, args.K),
             )
         if args.identity in ("qbinomial", "all"):
             for m in range(0, args.m + 1):
-                ok &= add_exact(
+                ok &= add(
                     "qbinomial_exact", {"m": m}, verify_qbinomial_exact(m)
                 )
             pascal = all(
@@ -232,20 +214,24 @@ def cmd_verify(parser, args):
                 for m in range(1, args.m + 1)
                 for k in range(0, m + 1)
             )
-            ok &= add_exact("q_pascal", {"m_max": args.m}, pascal)
+            ok &= add("q_pascal", {"m_max": args.m}, pascal)
         if args.identity == "jacobi":
             parser.error("jacobi has no exact mode; drop --exact")
     else:
         _require(parser, args.q is not None, "--q is required for numeric checks")
         q, z = args.q, args.z
+        reports = []
         if args.identity in ("durfee", "all"):
-            ok &= add(verify_durfee(q, args.n_offset, **kw))
+            reports.append(verify_durfee(q, args.n_offset, **kw))
         if args.identity in ("euler", "all"):
-            ok &= add(verify_euler(q, z, **kw))
+            reports.append(verify_euler(q, z, **kw))
         if args.identity in ("qbinomial", "all"):
-            ok &= add(verify_qbinomial(q, z, args.m, **kw))
+            reports.append(verify_qbinomial(q, z, args.m, **kw))
         if args.identity in ("jacobi", "all"):
-            ok &= add(verify_jacobi(q, z, **kw))
+            reports.append(verify_jacobi(q, z, **kw))
+        for r in reports:
+            ok &= add(r.name, r.params, r.passed,
+                      (r.lhs, r.rhs, r.rel_dev, r.trunc_bound, r.tol))
 
     meta = _meta(args, {"identity": args.identity, "exact": bool(args.exact)})
     _emit(args, meta, header, rows)
@@ -317,31 +303,45 @@ def cmd_simulate(parser, args):
 # ------------------------------------------------------------------ dist
 
 
+def _with_sum(rows, width):
+    """The rows, then a "sum" row of their probabilities added left to right
+    from 0 as they pass: the builtin sum is compensated from Python 3.12 on."""
+    total = 0
+    for row in rows:
+        total += row[1]
+        yield row
+    yield ("sum", total) + (None,) * (width - 2)
+
+
 def cmd_dist(parser, args):
     p = AsepParams(q=args.q, c=args.c)
-    rows = []
-    header = ["key", "prob"]
+    header, line = ["key", "prob"], _key_prob_line
     if args.law in ("left-particles", "right-holes"):
         _require(parser, args.m is not None and args.m[0] == args.m[1],
                  "--m must be a single site")
     if args.law in ("second-class", "positions", "pi"):
         _require(parser, args.d >= 1, "--d must be >= 1")
+        key = ",".join(["%d"] * args.d)  # a d-tuple's key
 
+    # Laws built on blocking's series can fail at any row (no convergence,
+    # float overflow), so their few rows are computed before anything is
+    # written; the closed-form grids cannot fail once checked, and stream.
     if args.law == "N":
         span = args.n or (-10, 10)
-        header = ["key", "prob", "ratio", "ratio_expected"]
+        header, line = ["key", "prob", "ratio", "ratio_expected"], _csv_line
+        rows = []
         prev = prob_N(span[0] - 1, p)
         for n in range(span[0], span[1] + 1):
             pr = prob_N(n, p)
             # empty where P(N = n-1) underflows to 0
             ratio = pr / prev if prev else None
-            rows.append([str(n), pr, ratio, p.q ** (n - p.c)])
+            rows.append((str(n), pr, ratio, p.q ** (n - p.c)))
             prev = pr
     elif args.law == "left-particles":
         span = args.k or (0, 20)
         _require(parser, span[0] >= 0, "k must be >= 0")
-        for k in range(span[0], span[1] + 1):
-            rows.append([str(k), prob_left_particles(args.m[0], k, p)])
+        rows = [(str(k), prob_left_particles(args.m[0], k, p))
+                for k in range(span[0], span[1] + 1)]
     elif args.law == "window-particles":
         _require(parser, args.m1 is not None and args.m2 is not None,
                  "--m1 and --m2 are required")
@@ -350,31 +350,30 @@ def cmd_dist(parser, args):
         span = args.k or (0, mhat)
         _require(parser, 0 <= span[0] and span[1] <= mhat,
                  f"k must lie in 0..{mhat}")
-        for k in range(span[0], span[1] + 1):
-            rows.append([str(k), prob_window_particles(args.m1, args.m2, k, p)])
+        rows = [(str(k), prob_window_particles(args.m1, args.m2, k, p))
+                for k in range(span[0], span[1] + 1)]
     elif args.law == "right-holes":
         span = args.n or (0, 20)
         _require(parser, span[0] >= 0, "n must be >= 0")
-        for n in range(span[0], span[1] + 1):
-            rows.append([str(n), prob_right_holes(args.m[0], n, p)])
+        rows = [(str(n), prob_right_holes(args.m[0], n, p))
+                for n in range(span[0], span[1] + 1)]
     elif args.law == "second-class":
         span = args.m or (-10, 10)
-        for m in range(span[0], span[1] + 1):
-            rows.append([str(m), prob_second_class_at(m, p, args.d)])
+        rows = ((str(m), prob_second_class_at(m, p, args.d))
+                for m in range(span[0], span[1] + 1))
     elif args.law == "positions":
         span = args.m or (-8, 8)
         sites = range(span[0], span[1] + 1)
         _require(parser, len(sites) >= args.d, "--m must span at least d sites")
-        for tup, prob in prob_positions_table(sites, p, args.d):
-            rows.append([",".join(map(str, tup)), prob])
+        rows = ((key % m, prob)
+                for m, prob in prob_positions_table(sites, p, args.d))
     elif args.law == "pi":
         _require(parser, args.cap >= args.d - 1, "--cap must be >= d - 1")
-        for tup, prob in pi_label_table(args.d, p.q, args.cap):
-            rows.append([",".join(map(str, tup)), prob])
-    rows.append(["sum", sum(r[1] for r in rows)] + [None] * (len(header) - 2))
+        rows = ((key % x, prob)
+                for x, prob in pi_label_table(args.d, p.q, args.cap))
 
     meta = _meta(args, {"law": args.law})
-    _emit(args, meta, header, rows)
+    _emit(args, meta, header, _with_sum(rows, len(header)), line)
     return 0
 
 
@@ -389,9 +388,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, handler):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+        # the handler reports usage errors through its own subparser
+        sp.set_defaults(handler=handler, parser=sp)
 
     sp = sub.add_parser("verify", help="identity checks")
     sp.add_argument(
@@ -408,7 +409,7 @@ def build_parser():
     sp.add_argument("--N", type=int, default=25, help="exact-suite size cap")
     sp.add_argument("--K", type=int, default=6, help="exact euler z-degree")
     sp.add_argument("--tol", type=_finite_arg, default=None)
-    common(sp)
+    common(sp, cmd_verify)
 
     sp = sub.add_parser("simulate", help="coupled Monte Carlo vs closed forms")
     sp.add_argument("--q", type=_q_arg, required=True)
@@ -426,7 +427,7 @@ def build_parser():
     sp.add_argument("--margin", type=int, default=5)
     sp.add_argument("--max-contamination", dest="max_contamination",
                     type=_finite_arg, default=None)
-    common(sp)
+    common(sp, cmd_simulate)
 
     sp = sub.add_parser("dist", help="tabulate a closed-form law")
     sp.add_argument(
@@ -453,30 +454,20 @@ def build_parser():
     sp.add_argument("--k", type=_parse_span, default=None, metavar="K|LO:HI")
     sp.add_argument("--cap", type=int, default=20,
                     help="label support cap for --law pi")
-    common(sp)
+    common(sp, cmd_dist)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
-        if args.command == "verify":
-            return cmd_verify(parser, args)
-        if args.command == "simulate":
-            return cmd_simulate(parser, args)
-        if args.command == "dist":
-            return cmd_dist(parser, args)
-    except SystemExit as e:  # parser.error inside handlers
+        args = build_parser().parse_args(argv)
+        return args.handler(args.parser, args)
+    except SystemExit as e:  # usage errors, in parsing or in a handler
         return int(e.code or 0)
     except (ValueError, WindowTooNarrow, LabelOutOfRange,
             TruncationNotConverged, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

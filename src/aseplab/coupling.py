@@ -370,8 +370,10 @@ def prob_positions_table(sites, p, d):
     """(m, prob_positions(m, p, d)) for every increasing d-tuple m of the
     increasing int sites, in itertools.combinations order.
 
-    The log terms of each (slot, site) pair are computed once; every row
-    adds its slots' terms up in slot order.
+    The log terms of each (slot, site) pair are computed once, and the log
+    sum of each (d-1)-slot prefix once for all its rows; a row adds only its
+    last slot's terms, still left to right, so every float is bit for bit
+    the per-tuple evaluation's.
     """
     sites = tuple(sites)
     lq = math.log(p.q)
@@ -386,17 +388,20 @@ def prob_positions_table(sites, p, d):
         for mj in sites:
             u = p.c - mj
             terms.append((u * lq, _log1p_qpow(u + d - j, lq),
-                          _log1p_qpow(u + d + 1 - j, lq)))
+                          _log1p_qpow(u + d + 1 - j, lq), (mj,)))
         slots.append(terms)
-    for m, idx in zip(itertools.combinations(sites, d),
-                      itertools.combinations(range(len(sites)), d)):
-        logv = base
-        for terms, i in zip(slots, idx):
-            ul, a, b = terms[i]
+    *head, last = slots
+    # each prefix in lexicographic order, then its last slots: combinations order
+    for prefix in itertools.combinations(range(len(sites) - 1), d - 1):
+        logv, m = base, ()
+        for terms, i in zip(head, prefix):
+            ul, a, b, site = terms[i]
             logv += ul
             logv -= a
             logv -= b
-        yield m, math.exp(logv)
+            m += site
+        for ul, a, b, site in last[prefix[-1] + 1 if prefix else 0:]:
+            yield m + site, math.exp(logv + ul - a - b)
 
 
 def _hat_pairs(mvec, kvec):

@@ -72,6 +72,8 @@ def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     QParam(q)
     n = int(n_offset)
     denom, dbound = pochhammer_infinite(q, q, pol)
+    if denom == 0.0:
+        raise OverflowError(f"(q;q)_infty underflows to 0 at q={q}")
     lhs = 1.0 / denom
 
     k = max(-n, 0)

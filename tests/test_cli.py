@@ -58,6 +58,16 @@ class TestVerifyCommand:
         assert names == {"durfee_exact", "euler_exact", "qbinomial_exact", "q_pascal"}
         assert meta["exact"] is True
 
+    @pytest.mark.parametrize("identity", ["durfee", "all"])
+    def test_underflowing_partition_product_is_input_error(self, identity,
+                                                            capsys):
+        # (q;q)_infty underflows to 0 at q = 0.999
+        code = main(["verify", "--identity", identity, "--q", "0.999"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and "(q;q)_infty" in err
+
     def test_tol_with_exact_usage_error(self, capsys):
         # no exact suite reads a tolerance, so meta must not claim one
         argv = ["verify", "--identity", "all", "--exact", "--N", "3", "--tol", "0.5"]
@@ -198,13 +208,47 @@ class TestDistCommand:
         code = main(["dist", "--law", "left-particles", "--q", "0.99999",
                      "--m", "0"])
         assert code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # no partial table before the error
         assert err.startswith("error: ") and "did not reach" in err
 
     def test_overflow_is_input_error(self, capsys):
         code = main(["dist", "--law", "N", "--q", "0.5", "--c", "1e300"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "law_args",
+        [
+            ["--law", "positions", "--q", "0.3", "--c", "0.37", "--d", "3",
+             "--m=-15:17"],
+            ["--law", "positions", "--q", "0.7", "--c", "-1.7", "--m=-40:40"],
+            ["--law", "pi", "--q", "0.5", "--d", "3", "--cap", "30"],
+            ["--law", "second-class", "--q", "0.9", "--c", "-1.7", "--d", "2",
+             "--m=-60:60"],
+            ["--law", "N", "--q", "0.5", "--c", "0.37", "--n=-12:12"],
+            ["--law", "left-particles", "--q", "0.7", "--c", "-1.7", "--m=1",
+             "--k=0:30"],
+        ],
+        ids=["positions-d3", "positions-d1", "pi", "second-class", "N",
+             "left-particles"],
+    )
+    def test_sum_row_is_left_to_right_fold_of_printed_probs(
+            self, law_args, tmp_path):
+        # The builtin sum is compensated from Python 3.12 on and prints a
+        # different last digit on these tables; the sum row must not
+        # depend on the interpreter.
+        code, meta, lines = run_csv(["dist"] + law_args, tmp_path)
+        assert code == 0
+        *body, last = [re.sub(r'^"[^"]*"', "key", l) for l in lines[1:]]
+        total = 0
+        for l in body:
+            total += float(l.split(",")[1])
+        key, cell = last.split(",")[:2]
+        assert key == "sum"
+        assert cell == f"{total:.17g}"
 
     def test_second_class_sums_to_d(self, tmp_path):
         code, meta, lines = run_csv(
@@ -323,6 +367,25 @@ class TestSimulateCommand:
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--identity", "all", "--exact", "--tol", "0.5"],
+            ["verify", "--identity", "jacobi", "--exact"],
+            ["simulate", "--q", "0.5", "--window=-25:25", "--replicas", "0"],
+            ["dist", "--law", "positions", "--q", "0.5", "--d", "5",
+             "--m", "0:2"],
+        ],
+        ids=["verify-tol-exact", "verify-jacobi-exact", "simulate-replicas",
+             "dist-positions-span"],
+    )
+    def test_handler_usage_error_names_its_subcommand(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: aseplab {argv[0]} ")
+        assert f"aseplab {argv[0]}: error: " in err
 
     def test_bad_window(self):
         assert main(["simulate", "--q", "0.5", "--window", "5:1"]) == 2

@@ -132,6 +132,40 @@ def test_positions_table_far_from_c():
         assert prob == prob_positions(m, p, 2) == frozen_prob_positions(m, p, 2)
 
 
+def assert_table_is_frozen(sites, p, d):
+    """Every row of the table in combinations order, each float the
+    frozen per-tuple evaluation bit for bit."""
+    rows = list(prob_positions_table(sites, p, d))
+    assert [m for m, _ in rows] == list(itertools.combinations(sites, d))
+    for m, prob in rows:
+        assert prob == frozen_prob_positions(m, p, d)
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_positions_table_on_non_contiguous_sites(d):
+    # a row's last slot starts right after its prefix's last index, not
+    # after its last site
+    sites = (-9, -4, -3, 0, 2, 7, 8, 15)
+    assert_table_is_frozen(sites, AsepParams(q=0.5, c=0.37), d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_positions_table_with_exactly_d_sites(d):
+    # the one-row table prob_positions evaluates
+    sites = (-3, 0, 4, 5)[:d]
+    p = AsepParams(q=0.7, c=-1.7)
+    (row,) = assert_table_is_frozen(sites, p, d)
+    assert row == (sites, prob_positions(sites, p, d))
+
+
+@pytest.mark.parametrize("sites", [range(-400, -392), range(392, 400)],
+                         ids=["left", "right"])
+def test_positions_table_d3_far_from_c(sites):
+    rows = assert_table_is_frozen(sites, AsepParams(q=0.2, c=0.37), 3)
+    assert len(rows) == 56
+
+
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_pi_table_rows_equal_pi_label(q, d):

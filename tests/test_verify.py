@@ -60,6 +60,10 @@ class TestDurfeeNumeric:
         with pytest.raises(ValueError):
             verify_durfee(1.5, 0)
 
+    def test_underflowing_product_raises_overflow(self):
+        with pytest.raises(OverflowError, match=r"\(q;q\)_infty"):
+            verify_durfee(0.999, 0)
+
 
 class TestEulerNumeric:
     def test_z_zero_trivial(self):

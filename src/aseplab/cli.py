@@ -77,8 +77,8 @@ def _key_prob_line(row):
 
 def _emit(args, meta, header, rows, line=_csv_line):
     """Serialize one table.  CSV: meta as a single # line, the header, then
-    one `line(row)` per row, written as the row arrives, so no table is held;
-    JSON: {"meta", "rows"} with row dicts keyed by the header."""
+    one `line(row)` per row, written as it arrives, so a streamed table is
+    never held; JSON: {"meta", "rows"} with row dicts keyed by the header."""
     if args.format == "json":
         payload = {"meta": meta, "rows": [dict(zip(header, r)) for r in rows]}
         lines = [json.dumps(payload, indent=1, sort_keys=True) + "\n"]
@@ -321,7 +321,7 @@ def cmd_dist(parser, args):
                  "--m must be a single site")
     if args.law in ("second-class", "positions", "pi"):
         _require(parser, args.d >= 1, "--d must be >= 1")
-        key = ",".join(["%d"] * args.d)  # a d-tuple's key
+        key = ",".join(["%d"] * args.d)  # formats a d-tuple as its key
 
     # Laws built on blocking's series can fail at any row (no convergence,
     # float overflow), so their few rows are computed before anything is

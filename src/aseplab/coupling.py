@@ -391,7 +391,7 @@ def prob_positions_table(sites, p, d):
                           _log1p_qpow(u + d + 1 - j, lq), (mj,)))
         slots.append(terms)
     *head, last = slots
-    # each prefix in lexicographic order, then its last slots: combinations order
+    # prefixes in order, each then with its last sites: combinations order
     for prefix in itertools.combinations(range(len(sites) - 1), d - 1):
         logv, m = base, ()
         for terms, i in zip(head, prefix):

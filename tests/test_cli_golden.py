@@ -3,8 +3,11 @@ timestamp removed.  The verify and dist digests were recorded before the
 exact suites and the dist grids were rewritten to work a table at a time,
 the simulate digests before the stepper kept an incremental list of domain
 walls, the `-d1`, `-d2` and `-json` dist digests before dist tables were
-streamed row by row; any change to a printed byte (a float's last digit, a row's order,
-a verdict) or to how a seeded run consumes its random stream fails here.
+streamed row by row, the other `numeric-` digests and
+`dist-window-particles-q0.9` before the float sums shared one series kernel
+and one summation rule; any change to a printed byte (a float's last digit,
+a row's order, a verdict) or to how a seeded run consumes its random stream
+fails here.
 """
 
 import hashlib
@@ -29,6 +32,19 @@ GOLDEN = {
         ["verify", "--identity", "all", "--q", "0.9"],
         "5c5cd6bc1a305c711964c2313668dab106988df94c2d0bfaee6bc287920a8bae",
     ),
+    # Euler's ratio is negative here, so its stop test reads |ratio|
+    "numeric-q0.3-negative-z": (
+        ["verify", "--identity", "all", "--q", "0.3", "--z", "-0.8",
+         "--n-offset", "-2"],
+        "efdad99181029c79feb7d283fa610c81fb14ade504f7d2edff61565aab497b3d",
+    ),
+    # the first terms grow (Euler's first ratio is 1.7 / 0.03) before the
+    # geometric tail bound applies
+    "numeric-q0.97-growing-terms": (
+        ["verify", "--identity", "all", "--q", "0.97", "--z", "1.7",
+         "--n-offset", "3"],
+        "27df90a8d63de82bce70a67b0834ef91c2f4a806d8bbf17f37bdb95d51537286",
+    ),
     "dist-N": (
         ["dist", "--law", "N", "--q", "0.5", "--c", "0.37", "--n=-12:12"],
         "3100de5a6d817a8429ac9ca9e5726264f3f0e2a1c394b3784eedb84a68f5c1a2",
@@ -42,6 +58,11 @@ GOLDEN = {
         ["dist", "--law", "window-particles", "--q", "0.5", "--c", "0.37",
          "--m1=-7", "--m2=6"],
         "02c5bb93701dd831552bb97752ac8d9e5980a5330fd3d7291cac0643e9e3e59a",
+    ),
+    "dist-window-particles-q0.9": (
+        ["dist", "--law", "window-particles", "--q", "0.9", "--c", "-1.7",
+         "--m1=-20", "--m2=15"],
+        "5b92e328e572abd8ff6b9b3e1e9713d9bc1925c54928d74b36c885c1d41e96ba",
     ),
     "dist-right-holes": (
         ["dist", "--law", "right-holes", "--q", "0.3", "--c", "0.37",

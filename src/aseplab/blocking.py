@@ -46,13 +46,6 @@ class AsepParams:
         return replace(self, c=c)
 
 
-def _log_sigmoid(t):
-    """log(1/(1+e^t)), stable for any real t."""
-    if t >= 0:
-        return -t - math.log1p(math.exp(-t))
-    return -math.log1p(math.exp(t))
-
-
 def _log1p_qpow(x, lq):
     """log(1 + q^x) given lq = log q, stable for any real x."""
     u = x * lq
@@ -68,9 +61,8 @@ def marginal(i, z, p):
     """
     if z not in (0, 1):
         raise ValueError("z must be 0 or 1")
-    t = (i - p.c) * math.log(p.q)
-    # occupation prob is sigmoid(-t)
-    return math.exp(_log_sigmoid(t if z == 1 else -t))
+    x = i - p.c if z == 1 else p.c - i
+    return math.exp(-_log1p_qpow(x, math.log(p.q)))
 
 
 def occupation_profile(sites, p):
@@ -230,7 +222,10 @@ def prob_window_particles(m1, m2, k, p):
         raise ValueError(f"need 0 <= k <= {mhat}, got {k}")
     lq = math.log(p.q)
     logp = (k * (p.c + 1 - m2) + k * (k - 1) / 2.0) * lq
-    logp -= sum(_log1p_qpow(p.c + 1 - m2 + i, lq) for i in range(mhat))
+    norm = 0.0
+    for i in range(mhat):
+        norm += _log1p_qpow(p.c + 1 - m2 + i, lq)
+    logp -= norm
     logp += log_qbinomial(mhat, k, p.q)
     return math.exp(logp)
 

@@ -87,7 +87,10 @@ def _emit(args, meta, header, rows, line=_csv_line):
             [f"# {json.dumps(meta, sort_keys=True)}\n{','.join(header)}\n"],
             map(line, rows),
         )
-    out = open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout)
+    try:  # the opening only: a failed write (a closed pipe) is no input error
+        out = open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout)
+    except OSError as e:
+        raise ValueError(f"cannot open --out: {e}") from None
     with out as fh:
         fh.writelines(lines)
 

@@ -29,7 +29,6 @@ import numpy as np
 from .blocking import RelationCheck, WindowState, _log1p_qpow, sample_blocking
 from .qseries import (
     DEFAULT_POLICY,
-    QParam,
     log_neg_pochhammer_infinite,
     log_pochhammer_finite,
 )
@@ -223,9 +222,9 @@ def choose_transition(s, p, rng):
     n = len(walls)
     rates, sums = _wall_rates(s, p.q)
     codes, label_rates = _label_moves(s, p.q)
-    # the builtin sum of the whole rate list: from Python 3.12 it rounds
-    # differently from the running sums
-    total = sum(rates[:n] + label_rates)
+    acc = total = sums[n - 1] if n else 0.0
+    for r in label_rates:
+        total += r
     if total <= 0.0:
         raise AbsorbingState("no enabled transitions")
     dt = rng.exponential(1.0 / total)
@@ -234,7 +233,6 @@ def choose_transition(s, p, rng):
     # leaves u at or above every partial sum
     i = bisect_right(sums, u, 0, n)
     if i == n and codes:
-        acc = sums[n - 1] if n else 0.0
         for code, r in zip(codes, label_rates):
             acc += r
             if u < acc:
@@ -280,25 +278,22 @@ def _pi_norm(qv, d):
 def pi_label(x, q):
     """Stationary label law pi(x) = prod_{i<=d}(1-q^i) * q^{sum x - d(d-1)/2}."""
     labels = as_labels(x)
-    qv = q.q if isinstance(q, QParam) else q
     d = len(labels)
-    return _pi_norm(qv, d) * qv ** (sum(labels) - d * (d - 1) // 2)
+    return _pi_norm(q, d) * q ** (sum(labels) - d * (d - 1) // 2)
 
 
 def pi_label_table(d, q, cap):
     """(x, pi_label(x, q)) for every label tuple x with x_d <= cap, in
     itertools.combinations order; the normalization is computed once."""
-    qv = q.q if isinstance(q, QParam) else q
-    norm = _pi_norm(qv, d)
+    norm = _pi_norm(q, d)
     shift = d * (d - 1) // 2
     for x in itertools.combinations(range(cap + 1), d):
-        yield x, norm * qv ** (sum(x) - shift)
+        yield x, norm * q ** (sum(x) - shift)
 
 
 def pi_detailed_balance_check(d, q, cap):
     """All balance relations pi(x) q = pi(x + e_j) over states with
     x_d <= cap; returns RelationCheck rows."""
-    qv = q.q if isinstance(q, QParam) else q
     checks = []
     for x in itertools.combinations(range(cap + 1), d):
         for j in range(d):
@@ -309,8 +304,8 @@ def pi_detailed_balance_check(d, q, cap):
             checks.append(
                 RelationCheck(
                     f"pi balance {x} -> {tuple(y)}",
-                    pi_label(x, qv) * qv,
-                    pi_label(tuple(y), qv),
+                    pi_label(x, q) * q,
+                    pi_label(tuple(y), q),
                 )
             )
     return checks
@@ -323,14 +318,13 @@ def sample_pi(d, q, rng):
     with ratios q^d, q^{d-1}, ..., q: the nested-sum form of the
     normalization read backwards.
     """
-    qv = q.q if isinstance(q, QParam) else q
     if d == 0:
         return ()
     x = []
-    cur = int(rng.geometric(1.0 - qv ** d)) - 1
+    cur = int(rng.geometric(1.0 - q ** d)) - 1
     x.append(cur)
     for j in range(2, d + 1):
-        gap = int(rng.geometric(1.0 - qv ** (d + 1 - j))) - 1
+        gap = int(rng.geometric(1.0 - q ** (d + 1 - j))) - 1
         cur += 1 + gap
         x.append(cur)
     return tuple(x)

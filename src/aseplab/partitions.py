@@ -82,8 +82,6 @@ def count_bounded(n, max_parts, max_size):
     """Partitions of n into at most max_parts parts, each at most max_size."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
     return bounded_counts(n, max_parts, max_size)[n]
 
 
@@ -154,9 +152,7 @@ def durfee_decompose(p, n_offset):
 
 def count_distinct_exactly_k(n, k):
     """Partitions of n into exactly k distinct positive parts."""
-    if k < 0 or n < 0:
-        return 0
-    return distinct_bounded_counts(n, k, n)[n]
+    return count_distinct_bounded(n, k, n)
 
 
 def count_distinct_bounded(n, k, m):

@@ -10,6 +10,7 @@ precision integer polynomial in q.
 from dataclasses import dataclass
 from itertools import zip_longest
 import math
+import sys
 
 
 class TruncationNotConverged(Exception):
@@ -260,25 +261,32 @@ def jacobi_triple_product(z, q, pol=DEFAULT_POLICY):
     """Both sides of sum_l q^{l(l+1)/2} z^l = (q;q)_inf (-qz;q)_inf (-1/z;q)_inf.
 
     The sum truncates over a symmetric range in l once both wing terms drop
-    below pol.eps relative to the running sum.
+    below pol.eps relative to the running sum.  Raises OverflowError, naming
+    the quantity, when the sum or (q;q)_inf leaves the float range.
     """
     if z == 0.0:
         raise ValueError("z must be nonzero")
     qv = _qval(q)
 
     total = 1.0  # l = 0 term
-    for l in range(1, pol.max_terms):
-        t_pos = qv ** (l * (l + 1) / 2) * z ** l
-        t_neg = qv ** (l * (l - 1) / 2) * z ** (-l)
-        total += t_pos + t_neg
-        if abs(t_pos) < pol.eps * max(1.0, abs(total)) and abs(t_neg) < pol.eps * max(
-            1.0, abs(total)
-        ):
-            break
-    else:
-        raise TruncationNotConverged("triple product sum did not converge")
+    try:
+        for l in range(1, pol.max_terms):
+            t_pos = qv ** (l * (l + 1) / 2) * z ** l
+            t_neg = qv ** (l * (l - 1) / 2) * z ** (-l)
+            total += t_pos + t_neg
+            bound = pol.eps * max(1.0, abs(total))
+            if abs(t_pos) < bound and abs(t_neg) < bound:
+                break
+        else:
+            raise TruncationNotConverged("triple product sum did not converge")
+    except OverflowError:  # z ** l or z ** -l
+        total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError(f"theta sum overflows at q={qv}, z={z}")
 
     p1, _ = pochhammer_infinite(qv, qv, pol)
+    if p1 < sys.float_info.min:  # subnormal: no longer tracks its factors
+        raise OverflowError(f"(q;q)_infty underflows at q={qv}")
     p2, _ = pochhammer_infinite(-qv * z, qv, pol)
     p3, _ = pochhammer_infinite(-1.0 / z, qv, pol)
     return total, p1 * p2 * p3

@@ -66,6 +66,25 @@ class IdentityReport:
         )
 
 
+def _ratio_sum(term, k, ratio, pol, what):
+    """Sum the series whose terms from index k on are term, term * ratio(k),
+    term * ratio(k) * ratio(k + 1), ...  Stops once the geometric bound
+    |term| r / (1 - r), r = |ratio| < 1, on everything after the current
+    term drops below 1e-16 of |sum|; returns (sum, that bound).  Raises
+    TruncationNotConverged, naming `what`, after pol.max_terms ratios."""
+    acc = term
+    for k in range(k, k + pol.max_terms + 1):
+        r = ratio(k)
+        a = abs(r)
+        if a < 1.0:
+            tail = abs(term) * a / (1.0 - a)
+            if tail < 1e-16 * abs(acc):
+                return acc, tail
+        term *= r
+        acc += term
+    raise TruncationNotConverged(what)
+
+
 def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     """Rectangle sum against the full partition generating function:
     sum_{k >= max(-n,0)} q^{k(n+k)} / ((q;q)_{n+k} (q;q)_k) = 1/(q;q)_infty."""
@@ -77,24 +96,14 @@ def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     lhs = 1.0 / denom
 
     k = max(-n, 0)
-    k0 = k
     term = q ** (k * (n + k)) / (
         pochhammer_finite(q, q, n + k) * pochhammer_finite(q, q, k)
     )
-    acc = term
-    tail = 0.0
-    while True:
-        r = q ** (n + 2 * k + 1) / (
-            (1.0 - q ** (n + k + 1)) * (1.0 - q ** (k + 1))
-        )
-        if r < 1.0 and term * r / (1.0 - r) < 1e-16 * acc:
-            tail = term * r / (1.0 - r)
-            break
-        term *= r
-        acc += term
-        k += 1
-        if k - k0 > pol.max_terms:
-            raise TruncationNotConverged(f"rectangle sum at q={q}, n={n}")
+    acc, tail = _ratio_sum(
+        term, k,
+        lambda k: q ** (n + 2 * k + 1) / (
+            (1.0 - q ** (n + k + 1)) * (1.0 - q ** (k + 1))),
+        pol, f"rectangle sum at q={q}, n={n}")
     return IdentityReport(
         name="durfee",
         params={"q": q, "n_offset": n},
@@ -139,20 +148,8 @@ def verify_euler(q, z, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     QParam(q)
     lhs, lbound = pochhammer_infinite(-z, q, pol)
 
-    term = 1.0
-    acc = 1.0
-    k = 0
-    tail = 0.0
-    while True:
-        r = abs(z) * q**k / (1.0 - q ** (k + 1))
-        if r < 1.0 and abs(term) * r / (1.0 - r) < 1e-16 * abs(acc):
-            tail = abs(term) * r / (1.0 - r)
-            break
-        term *= z * q**k / (1.0 - q ** (k + 1))
-        acc += term
-        k += 1
-        if k > pol.max_terms:
-            raise TruncationNotConverged(f"euler sum at q={q}, z={z}")
+    acc, tail = _ratio_sum(1.0, 0, lambda k: z * q**k / (1.0 - q ** (k + 1)),
+                           pol, f"euler sum at q={q}, z={z}")
     return IdentityReport(
         name="euler",
         params={"q": q, "z": z},
@@ -213,9 +210,9 @@ def verify_qbinomial(q, z, m, tol=DEFAULT_TOL):
     lhs = 1.0
     for i in range(m):
         lhs *= 1.0 + z * q**i
-    rhs = sum(
-        qbinomial(m, k, q) * q ** (k * (k - 1) // 2) * z**k for k in range(m + 1)
-    )
+    rhs = 0.0
+    for k in range(m + 1):
+        rhs += qbinomial(m, k, q) * q ** (k * (k - 1) // 2) * z**k
     return IdentityReport(
         name="qbinomial",
         params={"q": q, "z": z, "m": m},

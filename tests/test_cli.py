@@ -68,6 +68,34 @@ class TestVerifyCommand:
         assert out == "" and "Traceback" not in err
         assert err.startswith("error: ") and "(q;q)_infty" in err
 
+    @pytest.mark.parametrize(
+        "identity,q,message",
+        [
+            ("durfee", "0.998", "error: rectangle sum at q=0.998, n=0\n"),
+            ("euler", "0.999", "error: euler sum at q=0.999, z=1.0\n"),
+        ],
+    )
+    def test_series_not_converged_is_input_error(self, identity, q, message,
+                                                  capsys):
+        assert main(["verify", "--identity", identity, "--q", q]) == 2
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize(
+        "q,z,quantity",
+        [
+            ("0.999", "1", "(q;q)_infty underflows at q=0.999"),
+            # subnormal, not 0: the product reads 1e34 instead of about 56
+            ("0.998", "1", "(q;q)_infty underflows at q=0.998"),
+            ("0.99", "0.01", "theta sum overflows at q=0.99, z=0.01"),
+        ],
+    )
+    def test_jacobi_out_of_float_range_is_input_error(self, q, z, quantity,
+                                                       capsys):
+        # a true identity must not be reported as failing (exit 1)
+        code = main(["verify", "--identity", "jacobi", "--q", q, "--z", z])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {quantity}\n")
+
     def test_tol_with_exact_usage_error(self, capsys):
         # no exact suite reads a tolerance, so meta must not claim one
         argv = ["verify", "--identity", "all", "--exact", "--N", "3", "--tol", "0.5"]
@@ -386,6 +414,28 @@ class TestUsage:
         assert out == ""
         assert err.startswith(f"usage: aseplab {argv[0]} ")
         assert f"aseplab {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--identity", "all", "--q", "0.5"],
+            SIM_ARGS,
+            ["dist", "--law", "pi", "--q", "0.5"],
+            ["dist", "--law", "N", "--q", "0.5", "--format", "json"],
+        ],
+        ids=["verify", "simulate", "dist", "dist-json"],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unopenable_out_is_input_error(self, argv, target, tmp_path,
+                                           capsys):
+        out = tmp_path
+        if target == "missing-dir":
+            out = tmp_path / "missing" / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: cannot open --out: ") and str(out) in err
+        assert err.count("\n") == 1
 
     def test_bad_window(self):
         assert main(["simulate", "--q", "0.5", "--window", "5:1"]) == 2

@@ -7,17 +7,26 @@ The DP tables behind the exact suites (`bounded_counts`,
 `distinct_bounded_counts`, `qbinomial_row`) must hold the per-element counts
 for every total.  The scan-based `durfee_decompose` and the iterative
 `enumerate_partitions` must agree with frozen copies of their earlier
-definitions.  The power tests plant one error in what an exact suite is
+definitions, and the float kernels (the shared ratio-series sum, the shared
+softplus, the left-to-right sums) with frozen copies of the hand-written
+loops and builtin sums they replaced, bit for bit.  The power tests plant one error in what an exact suite is
 handed and require the suite to fail.
 """
 
 import itertools
 import math
+import re
+import sys
 
 import pytest
 
 from aseplab import verify
-from aseplab.blocking import AsepParams, _log1p_qpow
+from aseplab.blocking import (
+    AsepParams,
+    _log1p_qpow,
+    marginal,
+    prob_window_particles,
+)
 from aseplab.coupling import (
     pi_label,
     pi_label_table,
@@ -33,7 +42,17 @@ from aseplab.partitions import (
     durfee_decompose,
     enumerate_partitions,
 )
-from aseplab.qseries import IntPoly, qbinomial_row
+from aseplab.qseries import (
+    DEFAULT_POLICY,
+    IntPoly,
+    TruncationNotConverged,
+    TruncationPolicy,
+    log_qbinomial,
+    pochhammer_finite,
+    pochhammer_infinite,
+    qbinomial,
+    qbinomial_row,
+)
 
 
 # ------------------------------------------------- frozen reference copies
@@ -108,6 +127,167 @@ def frozen_qbinomial_poly(m, k):
         new.append([1])
         row = new
     return IntPoly(row[k])
+
+
+def frozen_marginal(i, z, p):
+    """The site marginal through its own log-sigmoid."""
+    t = (i - p.c) * math.log(p.q)
+    if z != 1:
+        t = -t
+    if t >= 0:
+        return math.exp(-t - math.log1p(math.exp(-t)))
+    return math.exp(-math.log1p(math.exp(t)))
+
+
+def frozen_durfee(q, n, pol=DEFAULT_POLICY):
+    """(lhs, rhs, trunc_bound) of verify_durfee from its own ratio loop; pol
+    sets only the loop's length."""
+    denom, dbound = pochhammer_infinite(q, q)
+    lhs = 1.0 / denom
+    k = max(-n, 0)
+    k0 = k
+    term = q ** (k * (n + k)) / (
+        pochhammer_finite(q, q, n + k) * pochhammer_finite(q, q, k)
+    )
+    acc = term
+    while True:
+        r = q ** (n + 2 * k + 1) / (
+            (1.0 - q ** (n + k + 1)) * (1.0 - q ** (k + 1))
+        )
+        if r < 1.0 and term * r / (1.0 - r) < 1e-16 * acc:
+            tail = term * r / (1.0 - r)
+            break
+        term *= r
+        acc += term
+        k += 1
+        if k - k0 > pol.max_terms:
+            raise TruncationNotConverged(f"rectangle sum at q={q}, n={n}")
+    return lhs, acc, dbound + tail / acc
+
+
+def frozen_euler(q, z, pol=DEFAULT_POLICY):
+    """(lhs, rhs, trunc_bound) of verify_euler from its own ratio loop, whose
+    stop test reads abs(z) where the term update reads z; pol sets only the
+    loop's length."""
+    lhs, lbound = pochhammer_infinite(-z, q)
+    term = 1.0
+    acc = 1.0
+    k = 0
+    while True:
+        r = abs(z) * q**k / (1.0 - q ** (k + 1))
+        if r < 1.0 and abs(term) * r / (1.0 - r) < 1e-16 * abs(acc):
+            tail = abs(term) * r / (1.0 - r)
+            break
+        term *= z * q**k / (1.0 - q ** (k + 1))
+        acc += term
+        k += 1
+        if k > pol.max_terms:
+            raise TruncationNotConverged(f"euler sum at q={q}, z={z}")
+    return lhs, acc, lbound + tail / max(abs(acc), 1e-300)
+
+
+def frozen_prob_window_particles(m1, m2, k, p):
+    """The window law with its normalizer subtracted as one builtin sum."""
+    mhat = m2 - m1 - 1
+    lq = math.log(p.q)
+    logp = (k * (p.c + 1 - m2) + k * (k - 1) / 2.0) * lq
+    logp -= sum(_log1p_qpow(p.c + 1 - m2 + i, lq) for i in range(mhat))
+    logp += log_qbinomial(mhat, k, p.q)
+    return math.exp(logp)
+
+
+def frozen_qbinomial_rhs(q, z, m):
+    """The finite Euler sum of verify_qbinomial as one builtin sum."""
+    return sum(
+        qbinomial(m, k, q) * q ** (k * (k - 1) // 2) * z**k for k in range(m + 1)
+    )
+
+
+# The builtin sum is a plain left-to-right fold from 0 up to Python 3.11 and
+# compensated from 3.12 on, where the builtin-sum forms print other digits.
+builtin_sum_is_a_fold = pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="the builtin sum is compensated from Python 3.12 on",
+)
+
+
+# ------------------------------------------------------------ float kernels
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("c", [0.0, 0.37, -1.7, 2.0])
+def test_marginal_equals_frozen_log_sigmoid_form(q, c):
+    # integral c puts t = +-0 on a site; the far sites saturate to 0 and 1
+    p = AsepParams(q=q, c=c)
+    for i in [*range(-60, 61), -5000, 5000]:
+        for z in (0, 1):
+            assert marginal(i, z, p) == frozen_marginal(i, z, p)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", range(-3, 4))
+def test_durfee_equals_frozen_ratio_loop(q, n):
+    r = verify.verify_durfee(q, n)
+    assert (r.lhs, r.rhs, r.trunc_bound) == frozen_durfee(q, n)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("z", [-0.8, 0.3, 1.0, 1.7])
+def test_euler_equals_frozen_ratio_loop(q, z):
+    r = verify.verify_euler(q, z)
+    assert (r.lhs, r.rhs, r.trunc_bound) == frozen_euler(q, z)
+
+
+@pytest.mark.parametrize(
+    "identity",
+    [
+        (lambda pol: verify.verify_durfee(0.5, -2, pol),
+         lambda pol: frozen_durfee(0.5, -2, pol)),
+        (lambda pol: verify.verify_euler(0.5, -1.7, pol),
+         lambda pol: frozen_euler(0.5, -1.7, pol)),
+    ],
+    ids=["durfee", "euler"],
+)
+def test_ratio_sum_gives_up_after_the_same_term(identity, monkeypatch):
+    # each policy either stops both sums at the same value or fails both;
+    # the products, which need more terms than the sums, keep the default
+    monkeypatch.setattr(verify, "pochhammer_infinite",
+                        lambda a, q, pol: pochhammer_infinite(a, q))
+    new, old = identity
+    outcomes = set()
+    for max_terms in range(1, 40):
+        pol = TruncationPolicy(max_terms=max_terms)
+        try:
+            want = old(pol)
+        except TruncationNotConverged as e:
+            with pytest.raises(TruncationNotConverged, match=re.escape(str(e))):
+                new(pol)
+            outcomes.add("raised")
+            continue
+        r = new(pol)
+        assert (r.lhs, r.rhs, r.trunc_bound) == want
+        outcomes.add("stopped")
+    assert outcomes == {"raised", "stopped"}
+
+
+@builtin_sum_is_a_fold
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("c", [0.37, -1.7])
+@pytest.mark.parametrize("window", [(-7, 6), (-20, 15), (3, 5), (-300, -250)])
+def test_window_particles_equals_frozen_builtin_sum(q, c, window):
+    p = AsepParams(q=q, c=c)
+    m1, m2 = window
+    for k in range(0, m2 - m1):
+        assert (prob_window_particles(m1, m2, k, p)
+                == frozen_prob_window_particles(m1, m2, k, p))
+
+
+@builtin_sum_is_a_fold
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("z", [-0.8, 0.3, 1.0, 1.7])
+def test_qbinomial_rhs_equals_frozen_builtin_sum(q, z):
+    for m in range(0, 13):
+        assert verify.verify_qbinomial(q, z, m).rhs == frozen_qbinomial_rhs(q, z, m)
 
 
 # ------------------------------------------------------------ dist grids

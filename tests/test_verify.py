@@ -1,4 +1,5 @@
 from fractions import Fraction
+import re
 
 import pytest
 
@@ -120,6 +121,20 @@ class TestJacobiNumeric:
         r = verify_jacobi(q, z)
         assert r.passed
         assert r.rel_dev < 1e-11
+
+    @pytest.mark.parametrize(
+        "q,z,side",
+        [(0.999, 1.0, "(q;q)_infty"), (0.998, 1.0, "(q;q)_infty"),
+         (0.99, 0.01, "theta sum"), (0.99, 100.0, "theta sum")],
+    )
+    def test_out_of_float_range_raises_overflow(self, q, z, side):
+        with pytest.raises(OverflowError, match=re.escape(side)):
+            verify_jacobi(q, z)
+
+    def test_last_q_in_reach_still_passes(self):
+        # (q;q)_infty is about 1e-236 here, still a normal float
+        r = verify_jacobi(0.997, 1.0)
+        assert r.passed and r.rel_dev < 1e-12
 
 
 class TestExactSuites:

@@ -9,8 +9,8 @@ for every total.  The scan-based `durfee_decompose` and the iterative
 `enumerate_partitions` must agree with frozen copies of their earlier
 definitions, and the float kernels (the shared ratio-series sum, the shared
 softplus, the left-to-right sums) with frozen copies of the hand-written
-loops and builtin sums they replaced, bit for bit.  The power tests plant one error in what an exact suite is
-handed and require the suite to fail.
+loops and builtin sums they replaced, bit for bit.  The power tests plant
+one error in what an exact suite is handed and require the suite to fail.
 """
 
 import itertools

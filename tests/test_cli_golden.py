@@ -5,7 +5,8 @@ the simulate digests before the stepper kept an incremental list of domain
 walls, the `-d1`, `-d2` and `-json` dist digests before dist tables were
 streamed row by row, the other `numeric-` digests and
 `dist-window-particles-q0.9` before the float sums shared one series kernel
-and one summation rule; any change to a printed byte (a float's last digit,
+and one summation rule, `numeric-q0.99-long-sums` and `dist-N-q0.99` before
+the ratio sums and the N normalizer stopped on the policy's eps; any change to a printed byte (a float's last digit,
 a row's order, a verdict) or to how a seeded run consumes its random stream
 fails here.
 """
@@ -45,9 +46,20 @@ GOLDEN = {
          "--n-offset", "3"],
         "27df90a8d63de82bce70a67b0834ef91c2f4a806d8bbf17f37bdb95d51537286",
     ),
+    # long ratio sums: the rectangle and Euler terms fall slowly at q = 0.99
+    "numeric-q0.99-long-sums": (
+        ["verify", "--identity", "all", "--q", "0.99", "--z", "3",
+         "--n-offset", "-1"],
+        "951b18393251b493f127185781799459ea003674a204fffc7383abf3c6e564c7",
+    ),
     "dist-N": (
         ["dist", "--law", "N", "--q", "0.5", "--c", "0.37", "--n=-12:12"],
         "3100de5a6d817a8429ac9ca9e5726264f3f0e2a1c394b3784eedb84a68f5c1a2",
+    ),
+    # a long N normalizer: its terms fall slowly at q = 0.99
+    "dist-N-q0.99": (
+        ["dist", "--law", "N", "--q", "0.99", "--c", "-3.3", "--n=-60:60"],
+        "5900f5e8f08e3a2049b1a5f3cedded8f970f1aeeac1361b59f4d165d6683ae66",
     ),
     "dist-left-particles": (
         ["dist", "--law", "left-particles", "--q", "0.7", "--c", "-1.7",

@@ -25,8 +25,8 @@ print(" ", verify_euler(0.5, 1.7).summary())
 print(" ", verify_qbinomial(0.5, 0.8, 9).summary())
 print(" ", verify_jacobi(0.7, 2.0).summary())
 
-# a looser truncation policy surfaces in the reported bound rather than in
-# a silent loss of accuracy
+# a looser truncation policy stops the product and the sum side alike, and
+# surfaces in the reported bound rather than in a silent loss of accuracy
 loose = TruncationPolicy(eps=1e-5, max_terms=10_000)
 r = verify_euler(0.5, 1.7, pol=loose)
 print(f"\nloose policy: rel dev {r.rel_dev:.2e} within bound {r.trunc_bound:.2e}:",

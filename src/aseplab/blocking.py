@@ -20,15 +20,15 @@ import numpy as np
 from .partitions import SizeLimit
 from .qseries import (
     DEFAULT_POLICY,
-    QParam,
     TruncationNotConverged,
+    _check_q,
     log_neg_pochhammer_infinite,
     log_pochhammer_finite,
     log_qbinomial,
 )
 
 
-class WindowTooNarrow(Exception):
+class WindowTooNarrow(ValueError):
     """Boundary marginals deviate from the frozen outside values by > eps."""
 
 
@@ -40,7 +40,7 @@ class AsepParams:
     c: float = 0.0
 
     def __post_init__(self):
-        QParam(self.q)  # range check
+        _check_q(self.q)
 
     def with_c(self, c):
         return replace(self, c=c)
@@ -172,8 +172,8 @@ def sample_blocking(window, p, rng, eps=1e-12):
 def prob_N(n, p, pol=DEFAULT_POLICY):
     """P(N = n) = q^{n(n+1)/2 - nc} / sum_l q^{l(l+1)/2 - lc}.
 
-    The normalizer is summed symmetrically out from its largest term until
-    terms drop below 1e-18 of it; convergence is super-geometric.
+    The normalizer is summed symmetrically out from its largest term, which
+    is 1, until terms drop below pol.eps; convergence is super-geometric.
     """
 
     def expo(l):
@@ -187,7 +187,7 @@ def prob_N(n, p, pol=DEFAULT_POLICY):
         for _ in range(pol.max_terms):
             term = p.q ** (expo(l) - e0)
             total += term
-            if term < 1e-18:
+            if term < pol.eps:
                 break
             l += direction
         else:

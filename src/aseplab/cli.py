@@ -18,7 +18,6 @@ from datetime import datetime, timezone
 
 from .blocking import (
     AsepParams,
-    WindowTooNarrow,
     marginal,
     prob_left_particles,
     prob_N,
@@ -27,7 +26,6 @@ from .blocking import (
 )
 from .coupling import (
     BoundaryContamination,
-    LabelOutOfRange,
     pi_label,
     pi_label_table,
     prob_positions,
@@ -36,7 +34,7 @@ from .coupling import (
     run_ensemble,
 )
 from .partitions import ENUMERATION_CAP
-from .qseries import DEFAULT_POLICY, TruncationNotConverged, q_pascal_check
+from .qseries import DEFAULT_POLICY, q_pascal_check
 from .verify import (
     verify_durfee,
     verify_durfee_exact,
@@ -274,8 +272,9 @@ def cmd_simulate(parser, args):
     rows = []
 
     def add(table, key, count, mean, sem, analytic):
-        mean, sem = float(mean), float(sem)
-        z = (mean - analytic) / sem if sem > 0 else None
+        # one replica gives no error estimate: sem and z are left empty
+        mean, sem = float(mean), float(sem) if rep.n_replicas > 1 else None
+        z = (mean - analytic) / sem if sem else None
         rows.append([table, key, count, mean, sem, analytic, z])
 
     # eta, xi without its d labeled particles, is blocking with c raised by d
@@ -467,8 +466,7 @@ def main(argv=None):
         return args.handler(args.parser, args)
     except SystemExit as e:  # usage errors, in parsing or in a handler
         return int(e.code or 0)
-    except (ValueError, WindowTooNarrow, LabelOutOfRange,
-            TruncationNotConverged, OverflowError) as e:
+    except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,7 @@ class AbsorbingState(Exception):
     """Total transition rate is zero; the window holds no movable matter."""
 
 
-class LabelOutOfRange(Exception):
+class LabelOutOfRange(ValueError):
     """A label exceeds the number of particles present in the window."""
 
 
@@ -93,10 +93,6 @@ class CoupledState:
                 f"{len(self.occupied)} particles in window"
             )
 
-    @property
-    def d(self):
-        return len(self.labels)
-
     def copy(self):
         return CoupledState(xi=self.xi, labels=self.labels)
 
@@ -107,14 +103,6 @@ class Transition(NamedTuple):
     A named tuple, since every event builds one: it takes about 60% of a
     frozen dataclass's time to build."""
 
-    kind: str
-    idx: int
-    step: int
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    time: float
     kind: str
     idx: int
     step: int
@@ -595,7 +583,8 @@ def simulate_stationary(
 
     The probe at a time inside a holding interval sees the state holding
     there.  Contamination = probes where some second-class particle sits
-    within `margin` sites of the window edge.
+    within `margin` sites of the window edge.  With keep_log, rep.event_log
+    lists every event as a (time, Transition) pair.
     """
     lo, hi = window
     xi = sample_blocking(window, p, rng, eps=eps)
@@ -635,7 +624,7 @@ def simulate_stationary(
             record(nxt - idx)
             idx = nxt
         if keep_log:
-            rep.event_log.append(EventRecord(t, tr.kind, tr.idx, tr.step))
+            rep.event_log.append((t, tr))
         apply_transition(state, tr)
         rep.n_events += 1
 

@@ -13,19 +13,8 @@ import math
 import sys
 
 
-class TruncationNotConverged(Exception):
+class TruncationNotConverged(ValueError):
     """Raised when an infinite product/sum hits max_terms before reaching eps."""
-
-
-@dataclass(frozen=True)
-class QParam:
-    """Asymmetry parameter, strictly inside (0,1)."""
-
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must lie strictly in (0,1), got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -45,13 +34,16 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def _qval(q):
-    return q.q if isinstance(q, QParam) else QParam(q).q
+def _check_q(q):
+    """q itself, once it lies strictly inside (0,1)."""
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q must lie strictly in (0,1), got {q}")
+    return q
 
 
 def pochhammer_finite(a, q, n):
     """(a;q)_n = prod_{i=0}^{n-1} (1 - a q^i); empty product is 1."""
-    qv = _qval(q)
+    qv = _check_q(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = 1.0
@@ -64,7 +56,7 @@ def pochhammer_finite(a, q, n):
 
 def log_pochhammer_finite(a, q, n):
     """log (a;q)_n for a < 1 where every factor is positive."""
-    qv = _qval(q)
+    qv = _check_q(q)
     out = 0.0
     aq = float(a)
     for _ in range(n):
@@ -82,7 +74,7 @@ def pochhammer_infinite(a, q, pol=DEFAULT_POLICY):
     Returns (value, bound) where bound is a rigorous relative error bound for
     the dropped tail, from sum_{i>=K} |a| q^i <= |a| q^K / (1-q).
     """
-    qv = _qval(q)
+    qv = _check_q(q)
     av = float(a)
     if av == 0.0:
         return 1.0, 0.0
@@ -107,7 +99,7 @@ def log_neg_pochhammer_infinite(x, q, pol=DEFAULT_POLICY):
     Returns (logvalue, bound); bound is relative on the value, as in
     pochhammer_infinite.
     """
-    qv = _qval(q)
+    qv = _check_q(q)
     lq = math.log(qv)
     out = 0.0
     for i in range(pol.max_terms):
@@ -135,7 +127,7 @@ def qbinomial(m, k, q):
     """
     if k < 0 or k > m:
         return 0.0
-    qv = _qval(q)
+    qv = _check_q(q)
     out = 1.0
     for i in range(k):
         out *= (1.0 - qv ** (m - i)) / (1.0 - qv ** (i + 1))
@@ -145,7 +137,7 @@ def qbinomial(m, k, q):
 def log_qbinomial(m, k, q):
     if k < 0 or k > m:
         raise ValueError("log form needs 0 <= k <= m")
-    qv = _qval(q)
+    qv = _check_q(q)
     out = 0.0
     for i in range(k):
         out += math.log1p(-qv ** (m - i)) - math.log1p(-qv ** (i + 1))
@@ -251,7 +243,7 @@ def q_pascal_check(m, k):
 
 def pochhammer_inversion(k, q):
     """Both sides of (q^{-k};q)_k = (q;q)_k / ((-1)^k q^{k(k+1)/2})."""
-    qv = _qval(q)
+    qv = _check_q(q)
     lhs = pochhammer_finite(qv ** (-k) if k > 0 else 1.0, qv, k)
     rhs = pochhammer_finite(qv, qv, k) / ((-1.0) ** k * qv ** (k * (k + 1) / 2))
     return lhs, rhs
@@ -266,7 +258,7 @@ def jacobi_triple_product(z, q, pol=DEFAULT_POLICY):
     """
     if z == 0.0:
         raise ValueError("z must be nonzero")
-    qv = _qval(q)
+    qv = _check_q(q)
 
     total = 1.0  # l = 0 term
     try:

@@ -22,8 +22,8 @@ from .partitions import (
 from .qseries import (
     DEFAULT_POLICY,
     IntPoly,
-    QParam,
     TruncationNotConverged,
+    _check_q,
     jacobi_triple_product,
     pochhammer_finite,
     pochhammer_infinite,
@@ -70,7 +70,7 @@ def _ratio_sum(term, k, ratio, pol, what):
     """Sum the series whose terms from index k on are term, term * ratio(k),
     term * ratio(k) * ratio(k + 1), ...  Stops once the geometric bound
     |term| r / (1 - r), r = |ratio| < 1, on everything after the current
-    term drops below 1e-16 of |sum|; returns (sum, that bound).  Raises
+    term drops below pol.eps of |sum|; returns (sum, that bound).  Raises
     TruncationNotConverged, naming `what`, after pol.max_terms ratios."""
     acc = term
     for k in range(k, k + pol.max_terms + 1):
@@ -78,7 +78,7 @@ def _ratio_sum(term, k, ratio, pol, what):
         a = abs(r)
         if a < 1.0:
             tail = abs(term) * a / (1.0 - a)
-            if tail < 1e-16 * abs(acc):
+            if tail < pol.eps * abs(acc):
                 return acc, tail
         term *= r
         acc += term
@@ -88,7 +88,7 @@ def _ratio_sum(term, k, ratio, pol, what):
 def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     """Rectangle sum against the full partition generating function:
     sum_{k >= max(-n,0)} q^{k(n+k)} / ((q;q)_{n+k} (q;q)_k) = 1/(q;q)_infty."""
-    QParam(q)
+    _check_q(q)
     n = int(n_offset)
     denom, dbound = pochhammer_infinite(q, q, pol)
     if denom == 0.0:
@@ -145,7 +145,7 @@ def verify_durfee_exact(N, n_offset):
 
 def verify_euler(q, z, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     """prod_{i>=0} (1 + z q^i) = sum_k z^k q^{k(k-1)/2} / (q;q)_k."""
-    QParam(q)
+    _check_q(q)
     lhs, lbound = pochhammer_infinite(-z, q, pol)
 
     acc, tail = _ratio_sum(1.0, 0, lambda k: z * q**k / (1.0 - q ** (k + 1)),
@@ -206,7 +206,7 @@ def verify_euler_exact(N, K):
 def verify_qbinomial(q, z, m, tol=DEFAULT_TOL):
     """Finite form: prod_{i=0}^{m-1} (1 + z q^i)
     = sum_k qbinom(m,k) q^{k(k-1)/2} z^k.  No truncation on either side."""
-    QParam(q)
+    _check_q(q)
     lhs = 1.0
     for i in range(m):
         lhs *= 1.0 + z * q**i

@@ -28,7 +28,12 @@ from aseplab.blocking import (
     shift_relation_checks,
 )
 from aseplab.partitions import SizeLimit
-from aseplab.qseries import pochhammer_finite, pochhammer_infinite
+from aseplab.qseries import (
+    TruncationNotConverged,
+    TruncationPolicy,
+    pochhammer_finite,
+    pochhammer_infinite,
+)
 
 
 def test_params_validation():
@@ -164,6 +169,53 @@ def test_prob_N_zero_against_direct_sum():
     p = AsepParams(0.5, 0.0)
     norm = sum(0.5 ** (l * (l + 1) / 2) for l in range(-60, 61))
     np.testing.assert_allclose(prob_N(0, p), 1.0 / norm, rtol=1e-12)
+
+
+def frozen_prob_N(n, p, max_terms=100_000):
+    """prob_N as it was when its normalizer stopped on terms below 1e-18
+    rather than on the policy's eps."""
+
+    def expo(l):
+        return l * (l + 1) / 2.0 - l * p.c
+
+    center = round(p.c - 0.5)
+    e0 = min(expo(center - 1), expo(center), expo(center + 1))
+    total = 0.0
+    for direction in (1, -1):
+        l = center if direction == 1 else center - 1
+        for _ in range(max_terms):
+            term = p.q ** (expo(l) - e0)
+            total += term
+            if term < 1e-18:
+                break
+            l += direction
+        else:
+            raise TruncationNotConverged("normalizer of the N law")
+    return p.q ** (expo(n) - e0) / total
+
+
+def test_prob_N_default_policy_matches_frozen_threshold():
+    # the largest term is 1, so every term below eps = 1e-16 is under half
+    # an ulp of the running total and stopping there changes no bit
+    for q in (0.1, 0.5, 0.9, 0.99, 0.999):
+        for c in (-40.0, -3.3, 0.0, 0.37, 17.25):
+            p = AsepParams(q, c)
+            for n in range(round(c) - 10, round(c) + 11):
+                assert prob_N(n, p) == frozen_prob_N(n, p), (q, c, n)
+
+
+def test_prob_N_stops_on_policy_eps():
+    p = AsepParams(0.9, 0.37)
+    loose = prob_N(0, p, TruncationPolicy(eps=1e-3))
+    assert loose != prob_N(0, p)
+    # dropping terms below 1e-3 of the largest one makes the normalizer
+    # smaller, so the probability larger
+    assert prob_N(0, p) < loose < prob_N(0, p) * (1 + 1e-2)
+
+
+def test_prob_N_normalizer_not_converged():
+    with pytest.raises(TruncationNotConverged, match="normalizer of the N law"):
+        prob_N(0, AsepParams(0.99, 0.0), TruncationPolicy(max_terms=5))
 
 
 def test_prob_N_at_shifts():

@@ -7,20 +7,29 @@ from aseplab.blocking import AsepParams, prob_N
 from aseplab.cli import main
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_csv(argv, tmp_path, name="out.csv"):
     path = tmp_path / name
     code = main(argv + ["--out", str(path)])
     text = path.read_text()
     meta_lines = [l for l in text.splitlines() if l.startswith("#")]
     data_lines = [l for l in text.splitlines() if not l.startswith("#")]
-    meta = json.loads(meta_lines[0][2:]) if meta_lines else {}
+    meta = strict_json(meta_lines[0][2:]) if meta_lines else {}
     return code, meta, data_lines
 
 
 def run_json(argv, tmp_path, name="out.json"):
     path = tmp_path / name
     code = main(argv + ["--format", "json", "--out", str(path)])
-    return code, json.loads(path.read_text())
+    return code, strict_json(path.read_text())
 
 
 class TestVerifyCommand:
@@ -294,6 +303,12 @@ SIM_ARGS = [
 ]
 
 
+SINGLE_REPLICA = [
+    "simulate", "--q", "0.5", "--window=-25:25", "--T", "5", "--replicas",
+    "1", "--seed", "1",
+]
+
+
 class TestSimulateCommand:
     def test_replicas_zero_usage_error(self, capsys):
         assert main(
@@ -312,6 +327,27 @@ class TestSimulateCommand:
              "--T", "1", "--margin", "-3"]
         ) == 2
         assert "--margin must be >= 0" in capsys.readouterr().err
+
+    def test_single_replica_has_no_error_estimate_csv(self, tmp_path):
+        # one replica gives no sem, so neither sem nor z may claim a value
+        code, _, lines = run_csv(SINGLE_REPLICA, tmp_path)
+        assert code == 0
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(",", 6))) for line in lines[1:]]
+        assert {row["table"] for row in rows} == {"xi_site", "eta_site", "x",
+                                                  "label"}
+        for row in rows:
+            assert row["sem"] == "" and row["z"] == ""
+            assert row["empirical"] and row["analytic"]
+
+    def test_single_replica_has_no_error_estimate_json(self, tmp_path):
+        code, doc = run_json(SINGLE_REPLICA, tmp_path)
+        assert code == 0
+        assert doc["meta"]["replicas"] == 1
+        assert doc["rows"]
+        for row in doc["rows"]:
+            assert row["sem"] is None and row["z"] is None
+            assert isinstance(row["empirical"], float)
 
     def test_json_schema(self, tmp_path):
         code, doc = run_json(SIM_ARGS, tmp_path)

@@ -557,9 +557,9 @@ class TestSimulation:
         )
         assert rep.event_log
         assert len(rep.event_log) == rep.n_events
-        times = [ev.time for ev in rep.event_log]
+        times = [t for t, _ in rep.event_log]
         assert times == sorted(times)
-        assert all(ev.kind in ("particle", "label") for ev in rep.event_log)
+        assert all(tr.kind in ("particle", "label") for _, tr in rep.event_log)
 
     def test_ensemble_needs_replicas(self):
         with pytest.raises(ValueError):

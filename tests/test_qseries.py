@@ -13,7 +13,6 @@ import pytest
 
 from aseplab.qseries import (
     IntPoly,
-    QParam,
     TruncationNotConverged,
     TruncationPolicy,
     jacobi_triple_product,
@@ -44,11 +43,11 @@ def frac_pochhammer_infinite(a, q, terms=120):
 
 def test_qparam_rejects_boundary():
     with pytest.raises(ValueError):
-        QParam(0.0)
+        pochhammer_finite(0.5, 0.0, 1)
     with pytest.raises(ValueError):
-        QParam(1.0)
+        pochhammer_finite(0.5, 1.0, 1)
     with pytest.raises(ValueError):
-        QParam(1.3)
+        pochhammer_finite(0.5, 1.3, 1)
 
 
 def test_pochhammer_finite_hand_values():
@@ -222,6 +221,11 @@ def test_jacobi_triple_product_points():
     for z, q in [(1.0, 0.5), (2.0, 0.5), (0.7, 0.8), (-0.5, 0.3), (4.0, 0.1)]:
         s, p = jacobi_triple_product(z, q)
         np.testing.assert_allclose(s, p, rtol=1e-11)
+
+
+def test_jacobi_theta_sum_not_converged():
+    with pytest.raises(TruncationNotConverged, match="triple product sum"):
+        jacobi_triple_product(1.0, 0.9, TruncationPolicy(max_terms=3))
 
 
 def test_jacobi_triple_product_rejects_zero():

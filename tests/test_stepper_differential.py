@@ -1,8 +1,9 @@
 """Differential test of the in-place Gillespie stepper.
 
-The oracle below is the earlier per-event stepper, kept verbatim: it
-rescans every bond, builds a Transition for every enabled move and copies
-the whole state on each event.  The package's stepper must reproduce it
+The oracle below is the earlier per-event stepper, kept verbatim but for
+the (time, Transition) pairs of its event log: it rescans every bond,
+builds a Transition for every enabled move and copies the whole state on
+each event.  The package's stepper must reproduce it
 exactly -- same enabled moves in the same order, same draws, same event
 log and the same report, field by field -- and keep its ordered lists of
 occupied sites and of domain walls equal to the ones the occupancy bits
@@ -18,7 +19,6 @@ from aseplab.blocking import AsepParams, WindowState, sample_blocking
 from aseplab.coupling import (
     AbsorbingState,
     CoupledState,
-    EventRecord,
     LabelOutOfRange,
     Transition,
     _conserved_N_rows,
@@ -171,7 +171,7 @@ def oracle_simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin
         while idx < n_probes and probe_times[idx] <= t_next:
             record(idx)
             idx += 1
-        rep.event_log.append(EventRecord(t_next, tr.kind, tr.idx, tr.step))
+        rep.event_log.append((t_next, tr))
         state = oracle_apply_transition(state, tr)
         t = t_next
         rep.n_events += 1

@@ -3,7 +3,12 @@ import re
 
 import pytest
 
-from aseplab.qseries import pochhammer_finite, pochhammer_infinite
+from aseplab.partitions import DurfeeDecomposition, durfee_decompose
+from aseplab.qseries import (
+    TruncationPolicy,
+    pochhammer_finite,
+    pochhammer_infinite,
+)
 from aseplab.verify import (
     IdentityReport,
     verify_durfee,
@@ -96,6 +101,13 @@ class TestEulerNumeric:
     def test_grid(self, q):
         assert verify_euler(q, 0.7).passed
 
+    def test_loose_policy_loosens_the_sum_side(self):
+        # the ratio sum stops on the policy's eps, like the product side
+        tight = verify_euler(0.5, 1.7)
+        loose = verify_euler(0.5, 1.7, pol=TruncationPolicy(eps=1e-5))
+        assert loose.rhs != tight.rhs
+        assert loose.passed
+
 
 class TestQBinomialNumeric:
     def test_trivial_sizes(self):
@@ -141,6 +153,28 @@ class TestExactSuites:
     def test_durfee_exact_offsets(self):
         for n in range(-3, 4):
             assert verify_durfee_exact(12, n)
+
+    @pytest.mark.parametrize("lam, n", [((3, 3), 0), ((1,), -2)],
+                             ids=["below-too-long", "k-below-k_lo"])
+    def test_durfee_exact_rejects_misplaced_rectangle(self, monkeypatch, lam,
+                                                      n):
+        # a decomposition built one rectangle too small still reassembles
+        # into lam, so only the shape checks can reject it: at (3, 3), n = 0
+        # the part below is longer than the side n + k; at (1,), n = -2 the
+        # index k falls under k_lo = 2
+        def at(lam_, n_, k):
+            side = n_ + k
+            return DurfeeDecomposition(
+                n_, k, tuple(x - side for x in lam_[:k] if x > side), lam_[k:])
+
+        assert verify_durfee_exact(sum(lam), n)
+        wrong = at(lam, n, durfee_decompose(lam, n).k - 1)
+        assert wrong.reassemble() == lam
+        monkeypatch.setattr(
+            "aseplab.verify.durfee_decompose",
+            lambda lam_, n_: wrong if (lam_, n_) == (lam, n)
+            else durfee_decompose(lam_, n_))
+        assert not verify_durfee_exact(sum(lam), n)
 
     def test_euler_exact(self):
         assert verify_euler_exact(12, 4)

@@ -466,7 +466,7 @@ def main(argv=None):
         return args.handler(args.parser, args)
     except SystemExit as e:  # usage errors, in parsing or in a handler
         return int(e.code or 0)
-    except (ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:  # bad input, or out of float range
         print(f"error: {e}", file=sys.stderr)
         return 2
 

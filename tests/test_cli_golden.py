@@ -6,9 +6,9 @@ walls, the `-d1`, `-d2` and `-json` dist digests before dist tables were
 streamed row by row, the other `numeric-` digests and
 `dist-window-particles-q0.9` before the float sums shared one series kernel
 and one summation rule, `numeric-q0.99-long-sums` and `dist-N-q0.99` before
-the ratio sums and the N normalizer stopped on the policy's eps; any change to a printed byte (a float's last digit,
-a row's order, a verdict) or to how a seeded run consumes its random stream
-fails here.
+the ratio sums and the N normalizer stopped on the policy's eps; any change
+to a printed byte (a float's last digit, a row's order, a verdict) or to how
+a seeded run consumes its random stream fails here.
 """
 
 import hashlib

@@ -160,15 +160,13 @@ class TestExactSuites:
                                                       n):
         # a decomposition built one rectangle too small still reassembles
         # into lam, so only the shape checks can reject it: at (3, 3), n = 0
-        # the part below is longer than the side n + k; at (1,), n = -2 the
+        # the first part below exceeds the side n + k; at (1,), n = -2 the
         # index k falls under k_lo = 2
-        def at(lam_, n_, k):
-            side = n_ + k
-            return DurfeeDecomposition(
-                n_, k, tuple(x - side for x in lam_[:k] if x > side), lam_[k:])
-
         assert verify_durfee_exact(sum(lam), n)
-        wrong = at(lam, n, durfee_decompose(lam, n).k - 1)
+        k = durfee_decompose(lam, n).k - 1
+        side = n + k
+        wrong = DurfeeDecomposition(
+            n, k, tuple(x - side for x in lam[:k] if x > side), lam[k:])
         assert wrong.reassemble() == lam
         monkeypatch.setattr(
             "aseplab.verify.durfee_decompose",

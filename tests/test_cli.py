@@ -414,6 +414,12 @@ class TestSimulateCommand:
              "--max-contamination", "0.0", "--seed", "3"]
         )
         assert code == 1
+        # margin 7 on 13 sites contaminates every probe: no table, one line
+        assert capsys.readouterr() == (
+            "",
+            "boundary contamination: 22/22 probes contaminated "
+            "(allowed fraction 0.0)\n",
+        )
 
     def test_analytic_column_matches_library(self, tmp_path):
         from aseplab.blocking import AsepParams, marginal

@@ -6,9 +6,11 @@ walls, the `-d1`, `-d2` and `-json` dist digests before dist tables were
 streamed row by row, the other `numeric-` digests and
 `dist-window-particles-q0.9` before the float sums shared one series kernel
 and one summation rule, `numeric-q0.99-long-sums` and `dist-N-q0.99` before
-the ratio sums and the N normalizer stopped on the policy's eps; any change
-to a printed byte (a float's last digit, a row's order, a verdict) or to how
-a seeded run consumes its random stream fails here.
+the ratio sums and the N normalizer stopped on the policy's eps,
+`simulate-max-contamination` before the contamination verdict moved from
+the ensemble runner to the CLI; any change to a printed byte (a float's last
+digit, a row's order, a verdict) or to how a seeded run consumes its random
+stream fails here.
 """
 
 import hashlib
@@ -136,6 +138,12 @@ GOLDEN = {
         ["simulate", "--q", "0.9", "--window=-160:160", "--d", "3", "--T", "20",
          "--replicas", "2", "--seed", "12"],
         "81292180200a3e72d8e5ee3691d94305940508e8b49e46d7e75b021fc29e044a",
+    ),
+    # a passing --max-contamination: the verdict leaves the table as it is
+    "simulate-max-contamination": (
+        ["simulate", "--q", "0.5", "--window=-25:25", "--d", "2", "--T", "10",
+         "--replicas", "3", "--seed", "14", "--max-contamination", "0.5"],
+        "be1e1456b4cd1fa800f6b0f9ff26b261312a8ddafd068256a4bf622abe707575",
     ),
     "simulate-d0": (
         ["simulate", "--q", "0.5", "--c", "0.4", "--window=-25:25", "--d", "0",

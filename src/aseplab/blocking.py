@@ -170,17 +170,27 @@ def sample_blocking(window, p, rng, eps=1e-12):
 
 
 def prob_N(n, p, pol=DEFAULT_POLICY):
-    """P(N = n) = q^{n(n+1)/2 - nc} / sum_l q^{l(l+1)/2 - lc}.
+    """P(N = n) = q^{n(n+1)/2 - nc} / sum_l q^{l(l+1)/2 - lc}."""
+    (prob,) = prob_N_table((n,), p, pol)
+    return prob
 
-    The normalizer is summed symmetrically out from its largest term, which
-    is 1, until terms drop below pol.eps; convergence is super-geometric.
+
+def prob_N_table(ns, p, pol=DEFAULT_POLICY):
+    """[prob_N(n, p, pol) for n in ns], the normalizer summed once.
+
+    It is summed symmetrically out from its largest term, which is 1, until
+    terms drop below pol.eps; convergence is super-geometric.
     """
 
     def expo(l):
         return l * (l + 1) / 2.0 - l * p.c
 
     center = round(p.c - 0.5)
-    e0 = min(expo(center - 1), expo(center), expo(center + 1))
+    try:
+        e0 = min(expo(center - 1), expo(center), expo(center + 1))
+    except OverflowError:  # l(l+1) of an int center past the float range
+        raise OverflowError(
+            f"exponent of the N law overflows at q={p.q}, c={p.c}") from None
     total = 0.0
     for direction in (1, -1):
         l = center if direction == 1 else center - 1
@@ -192,7 +202,7 @@ def prob_N(n, p, pol=DEFAULT_POLICY):
             l += direction
         else:
             raise TruncationNotConverged("normalizer of the N law")
-    return p.q ** (expo(n) - e0) / total
+    return [p.q ** (expo(n) - e0) / total for n in ns]
 
 
 def prob_N_at(m, n, p, pol=DEFAULT_POLICY):

@@ -20,12 +20,11 @@ from .blocking import (
     AsepParams,
     marginal,
     prob_left_particles,
-    prob_N,
+    prob_N_table,
     prob_right_holes,
     prob_window_particles,
 )
 from .coupling import (
-    BoundaryContamination,
     pi_label,
     pi_label_table,
     prob_positions,
@@ -251,21 +250,21 @@ def cmd_simulate(parser, args):
     mc = args.max_contamination
     _require(parser, mc is None or mc >= 0, "--max-contamination must be >= 0")
     p = AsepParams(q=args.q, c=args.c)
-    try:
-        rep = run_ensemble(
-            p,
-            args.d,
-            args.window,
-            args.T,
-            replicas=args.replicas,
-            seed=args.seed,
-            probes=args.probes,
-            eps=args.window_eps,
-            margin=args.margin,
-            max_contamination=args.max_contamination,
-        )
-    except BoundaryContamination as e:
-        print(f"boundary contamination: {e}", file=sys.stderr)
+    rep = run_ensemble(
+        p,
+        args.d,
+        args.window,
+        args.T,
+        replicas=args.replicas,
+        seed=args.seed,
+        probes=args.probes,
+        eps=args.window_eps,
+        margin=args.margin,
+    )
+    if mc is not None and rep.contamination_fraction > mc:
+        print(f"boundary contamination: {rep.contaminated_probes}/"
+              f"{rep.total_probes} probes contaminated (allowed fraction {mc})",
+              file=sys.stderr)
         return 1
 
     header = ["table", "key", "count", "empirical", "sem", "analytic", "z"]
@@ -331,14 +330,15 @@ def cmd_dist(parser, args):
     if args.law == "N":
         span = args.n or (-10, 10)
         header, line = ["key", "prob", "ratio", "ratio_expected"], _csv_line
-        rows = []
-        prev = prob_N(span[0] - 1, p)
-        for n in range(span[0], span[1] + 1):
-            pr = prob_N(n, p)
-            # empty where P(N = n-1) underflows to 0
-            ratio = pr / prev if prev else None
-            rows.append((str(n), pr, ratio, p.q ** (n - p.c)))
-            prev = pr
+        probs = prob_N_table(range(span[0] - 1, span[1] + 1), p)
+        try:
+            # ratio is empty where P(N = n-1) underflows to 0
+            rows = [(str(n), pr, pr / prev if prev else None, p.q ** (n - p.c))
+                    for n, prev, pr in zip(range(span[0], span[1] + 1), probs,
+                                           probs[1:])]
+        except OverflowError:  # q^(n-c) falls with n: the first row overflows
+            raise OverflowError(f"ratio_expected q^(n-c) overflows at "
+                                f"q={p.q}, n={span[0]}, c={p.c}") from None
     elif args.law == "left-particles":
         span = args.k or (0, 20)
         _require(parser, span[0] >= 0, "k must be >= 0")

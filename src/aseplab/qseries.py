@@ -93,6 +93,14 @@ def pochhammer_infinite(a, q, pol=DEFAULT_POLICY):
     )
 
 
+def _normal_qq(value, q):
+    """value, (q;q)_infty at q, once it is a normal float.  A subnormal no
+    longer tracks its factors, so below that OverflowError names it."""
+    if value < sys.float_info.min:
+        raise OverflowError(f"(q;q)_infty underflows at q={q}")
+    return value
+
+
 def log_neg_pochhammer_infinite(x, q, pol=DEFAULT_POLICY):
     """log (-q^x;q)_infty = sum_{i>=0} log(1+q^{x+i}), stable for any real x.
 
@@ -276,9 +284,7 @@ def jacobi_triple_product(z, q, pol=DEFAULT_POLICY):
     if not math.isfinite(total):
         raise OverflowError(f"theta sum overflows at q={qv}, z={z}")
 
-    p1, _ = pochhammer_infinite(qv, qv, pol)
-    if p1 < sys.float_info.min:  # subnormal: no longer tracks its factors
-        raise OverflowError(f"(q;q)_infty underflows at q={qv}")
+    p1 = _normal_qq(pochhammer_infinite(qv, qv, pol)[0], qv)
     p2, _ = pochhammer_infinite(-qv * z, qv, pol)
     p3, _ = pochhammer_infinite(-1.0 / z, qv, pol)
     return total, p1 * p2 * p3

@@ -10,6 +10,7 @@ coefficient or the identity is simply false in that range.
 """
 
 from dataclasses import dataclass
+import math
 
 from .partitions import (
     bounded_counts,
@@ -24,6 +25,7 @@ from .qseries import (
     IntPoly,
     TruncationNotConverged,
     _check_q,
+    _normal_qq,
     jacobi_triple_product,
     pochhammer_finite,
     pochhammer_infinite,
@@ -91,9 +93,8 @@ def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     _check_q(q)
     n = int(n_offset)
     denom, dbound = pochhammer_infinite(q, q, pol)
-    if denom == 0.0:
-        raise OverflowError(f"(q;q)_infty underflows to 0 at q={q}")
-    lhs = 1.0 / denom
+    if denom == 0.0:  # 0 is named at once, a subnormal once the sum converges
+        _normal_qq(denom, q)
 
     k = max(-n, 0)
     term = q ** (k * (n + k)) / (
@@ -107,7 +108,7 @@ def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     return IdentityReport(
         name="durfee",
         params={"q": q, "n_offset": n},
-        lhs=lhs,
+        lhs=1.0 / _normal_qq(denom, q),
         rhs=acc,
         tol=tol,
         trunc_bound=dbound + tail / acc,
@@ -211,8 +212,15 @@ def verify_qbinomial(q, z, m, tol=DEFAULT_TOL):
     for i in range(m):
         lhs *= 1.0 + z * q**i
     rhs = 0.0
-    for k in range(m + 1):
-        rhs += qbinomial(m, k, q) * q ** (k * (k - 1) // 2) * z**k
+    try:
+        for k in range(m + 1):
+            rhs += qbinomial(m, k, q) * q ** (k * (k - 1) // 2) * z**k
+    except OverflowError:  # z ** k
+        rhs = math.inf
+    for side, value in (("product", lhs), ("sum", rhs)):
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"q-binomial {side} overflows at q={q}, z={z}, m={m}")
     return IdentityReport(
         name="qbinomial",
         params={"q": q, "z": z, "m": m},

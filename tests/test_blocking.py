@@ -21,6 +21,7 @@ from aseplab.blocking import (
     occupation_profile,
     prob_N,
     prob_N_at,
+    prob_N_table,
     prob_left_particles,
     prob_right_holes,
     prob_window_particles,
@@ -202,6 +203,14 @@ def test_prob_N_default_policy_matches_frozen_threshold():
             p = AsepParams(q, c)
             for n in range(round(c) - 10, round(c) + 11):
                 assert prob_N(n, p) == frozen_prob_N(n, p), (q, c, n)
+
+
+def test_prob_N_table_sums_the_normalizer_once():
+    # every row divides by the one normalizer the per-n evaluation sums
+    for q, c in ((0.5, 0.37), (0.99, -3.3), (0.999, 17.25)):
+        p = AsepParams(q, c)
+        ns = range(round(c) - 12, round(c) + 13)
+        assert prob_N_table(ns, p) == [frozen_prob_N(n, p) for n in ns]
 
 
 def test_prob_N_stops_on_policy_eps():

@@ -70,12 +70,30 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("identity", ["durfee", "all"])
     def test_underflowing_partition_product_is_input_error(self, identity,
                                                             capsys):
-        # (q;q)_infty underflows to 0 at q = 0.999
-        code = main(["verify", "--identity", identity, "--q", "0.999"])
+        # (q;q)_infty underflows to 0 at q = 0.999 and is subnormal at
+        # q = 0.9977, where the rectangle sum still converges (to inf)
+        for q in ("0.9977", "0.999"):
+            code = main(["verify", "--identity", identity, "--q", q])
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "Traceback" not in err
+            assert err.startswith("error: ") and "(q;q)_infty" in err
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--q", "0.5", "--z", "1e30"], "q-binomial product overflows "
+             "at q=0.5, z=1e+30, m=12"),
+            # the Gaussian binomials overflow and the sum reads nan
+            (["--q", "0.999", "--m", "2000"], "q-binomial sum overflows at "
+             "q=0.999, z=1.0, m=2000"),
+        ],
+        ids=["product", "sum"],
+    )
+    def test_qbinomial_overflow_names_the_side(self, args, message, capsys):
+        code = main(["verify", "--identity", "qbinomial"] + args)
         assert code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "Traceback" not in err
-        assert err.startswith("error: ") and "(q;q)_infty" in err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "identity,q,message",
@@ -257,6 +275,19 @@ class TestDistCommand:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "c,message",
+        [
+            ("1e300", "exponent of the N law overflows at q=0.5, c=1e+300"),
+            ("2000", "ratio_expected q^(n-c) overflows at q=0.5, n=-10, "
+             "c=2000.0"),
+        ],
+        ids=["exponent", "ratio_expected"],
+    )
+    def test_N_overflow_names_the_quantity(self, c, message, capsys):
+        assert main(["dist", "--law", "N", "--q", "0.5", "--c", c]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "law_args",
         [
             ["--law", "positions", "--q", "0.3", "--c", "0.37", "--d", "3",
@@ -420,6 +451,18 @@ class TestSimulateCommand:
             "boundary contamination: 22/22 probes contaminated "
             "(allowed fraction 0.0)\n",
         )
+
+    def test_frozen_window_holds_its_state(self, tmp_path):
+        # a two-site window reaches 00 or 11, where no move is enabled; the
+        # run prints its table instead of failing
+        code, doc = run_json(
+            ["simulate", "--q", "0.5", "--c", "0.5", "--window=0:1",
+             "--window-eps", "0.9", "--d", "0", "--replicas", "20", "--T", "1"],
+            tmp_path,
+        )
+        assert code == 0
+        assert doc["meta"]["total_probes"] == 20 * 11
+        assert [row["key"] for row in doc["rows"]] == ["0", "1", "0", "1"]
 
     def test_analytic_column_matches_library(self, tmp_path):
         from aseplab.blocking import AsepParams, marginal

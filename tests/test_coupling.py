@@ -15,7 +15,6 @@ from aseplab.blocking import (
 )
 from aseplab.coupling import (
     AbsorbingState,
-    BoundaryContamination,
     CoupledState,
     LabelOutOfRange,
     SimulationReport,
@@ -506,12 +505,34 @@ class TestSimulation:
         assert r0 != r1
         assert replica_rng(7, 0).random(4).tolist() == r0
 
-    def test_contamination_raises(self):
-        # margin 7 on 13 sites contaminates every probe, whatever the seed
+    def test_contamination_is_reported(self):
+        # margin 7 on 13 sites contaminates every probe, whatever the seed;
+        # the report counts it and the caller judges it
         p = AsepParams(q=0.5, c=0.0)
-        with pytest.raises(BoundaryContamination):
-            run_ensemble(p, 1, (-6, 6), 1.0, replicas=1, seed=3, probes=2,
-                         eps=0.1, margin=7, max_contamination=0.5)
+        rep = run_ensemble(p, 1, (-6, 6), 1.0, replicas=1, seed=3, probes=2,
+                           eps=0.1, margin=7)
+        assert rep.contamination_fraction == 1.0
+        assert rep.contaminated_probes == rep.total_probes == 3
+
+    def test_frozen_window_holds_its_state(self):
+        # c far left of the window fills every site (each marginal rounds
+        # to 1), so no move is ever enabled
+        p = AsepParams(q=0.5, c=-60.0)
+        reps = []
+        for keep_log in (False, True):
+            rng = np.random.default_rng(4)
+            reps.append(simulate_stationary(p, 0, (0, 5), 10.0, rng, probes=4,
+                                            eps=1.0, keep_log=keep_log))
+            # the start sample is the only draw: the stepper takes none
+            after_sample = np.random.default_rng(4)
+            after_sample.random(6)
+            assert rng.random() == after_sample.random()
+        for rep in reps:
+            assert rep.n_events == 0 and rep.total_probes == 5
+            assert rep.xi_mean_sum.tolist() == [1.0] * 6
+            assert rep.xi_mean_sumsq.tolist() == [1.0] * 6
+        assert reps[1].event_log == []
+        assert reps[0].meta() == reps[1].meta()
 
     @pytest.mark.parametrize("name", list(OTHER_LAYOUT))
     def test_merge_layout_mismatch(self, name):

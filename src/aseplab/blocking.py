@@ -171,8 +171,7 @@ def sample_blocking(window, p, rng, eps=1e-12):
 
 def prob_N(n, p, pol=DEFAULT_POLICY):
     """P(N = n) = q^{n(n+1)/2 - nc} / sum_l q^{l(l+1)/2 - lc}."""
-    (prob,) = prob_N_table((n,), p, pol)
-    return prob
+    return prob_N_table((n,), p, pol)[0]
 
 
 def prob_N_table(ns, p, pol=DEFAULT_POLICY):

@@ -8,7 +8,9 @@ streamed row by row, the other `numeric-` digests and
 and one summation rule, `numeric-q0.99-long-sums` and `dist-N-q0.99` before
 the ratio sums and the N normalizer stopped on the policy's eps,
 `simulate-max-contamination` before the contamination verdict moved from
-the ensemble runner to the CLI; any change to a printed byte (a float's last
+the ensemble runner to the CLI, `simulate-many-replicas` and
+`simulate-many-replicas-json` before the report kept one row per replica
+in place of running sums; any change to a printed byte (a float's last
 digit, a row's order, a verdict) or to how a seeded run consumes its random
 stream fails here.
 """
@@ -149,6 +151,18 @@ GOLDEN = {
         ["simulate", "--q", "0.5", "--c", "0.4", "--window=-25:25", "--d", "0",
          "--T", "30", "--replicas", "6", "--seed", "13"],
         "78401840859333d470e0da8630bdb1e0df7668135403c73b8beedb71a870882d",
+    ),
+    # many replicas: each mean and sem folds 200 rows, so a sum in another
+    # order (numpy's pairwise sum, the compensated builtin sum) shows here
+    "simulate-many-replicas": (
+        ["simulate", "--q", "0.5", "--window=-25:25", "--d", "2", "--T", "10",
+         "--replicas", "200", "--seed", "15"],
+        "61233a24ee1db0e4ed73006947f32b858f2e94163c125bb4254978e144f29728",
+    ),
+    "simulate-many-replicas-json": (
+        ["simulate", "--q", "0.5", "--window=-25:25", "--d", "1", "--T", "10",
+         "--replicas", "200", "--seed", "15", "--format", "json"],
+        "4be8d7841d0276caf3602d27520b09c0b2a2f8ce9db6d72e26dd45619dc727b2",
     ),
 }
 

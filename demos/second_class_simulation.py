@@ -4,7 +4,10 @@ Each replica starts from an exact sample of the stationary pair (product
 blocking measure for the particles, rank law pi for the tags), runs the
 Gillespie dynamics to time T inside a finite window with frozen boundary
 tails, and records occupancies plus tagged-particle positions at evenly
-spaced probes.  Everything printed is compared against a closed form.
+spaced probes.  The report keeps one row per replica -- its time-mean
+occupancy of each site and a Counter of the positions its probes saw -- and
+every mean and standard error below is folded from those rows.  Everything
+printed is compared against a closed form.
 """
 
 import numpy as np
@@ -46,12 +49,13 @@ def main():
     print(f"eta site marginals vs c+{d} profile: worst |z| "
           f"{worst_z(mean_e, sem_e, target_e):.2f}")
 
-    # tagged position law: discrete logistic in q^(c-m)
-    freq = rep.x_freq_stats()
+    # tagged position law: discrete logistic in q^(c-m); key_stats gives
+    # (probe count, mean, sem) per position over the replicas' Counters
+    cells = rep.key_stats(rep.x_rows)
     print("\n  m   P(X=m)      empirical    z")
     for m in range(-4, 5):
         t = prob_second_class_at(m, p, d)
-        f, s = freq.get((m,), (0.0, 0.0))
+        _, f, s = cells.get((m,), (0, 0.0, 0.0))
         zz = (f - t) / s if s > 0 else float("nan")
         print(f" {m:3d}  {t:.6f}    {f:.6f}  {zz:+5.2f}")
 

@@ -272,7 +272,7 @@ def cmd_simulate(parser, args):
 
     def add(table, key, count, mean, sem, analytic):
         # one replica gives no error estimate: sem and z are left empty
-        mean, sem = float(mean), float(sem) if rep.n_replicas > 1 else None
+        mean, sem = float(mean), None if sem is None else float(sem)
         z = (mean - analytic) / sem if sem else None
         rows.append([table, key, count, mean, sem, analytic, z])
 
@@ -282,18 +282,14 @@ def cmd_simulate(parser, args):
         ("eta_site", rep.eta_site_stats(), AsepParams(q=p.q, c=p.c + rep.d)),
     ):
         for j, site in enumerate(rep.sites):
-            add(table, str(site), None, mean[j], sem[j], marginal(int(site), 1, law))
-    if rep.d:
-        freq = rep.x_freq_stats()
-        for key in sorted(rep.x_counts):
-            m, s = freq[key]
-            add("x", ",".join(map(str, key)), rep.x_counts[key], m, s,
-                prob_positions(key, p))
-        freq = rep.label_freq_stats()
-        for key in sorted(rep.label_counts):
-            m, s = freq[key]
-            add("label", ",".join(map(str, key)), rep.label_counts[key], m, s,
-                pi_label(key, p.q))
+            add(table, str(site), None, mean[j], None if sem is None else sem[j],
+                marginal(int(site), 1, law))
+    for table, key_rows, law in (
+        ("x", rep.x_rows, lambda key: prob_positions(key, p)),
+        ("label", rep.label_rows, lambda key: pi_label(key, p.q)),
+    ):
+        for key, (count, mean, sem) in rep.key_stats(key_rows).items():
+            add(table, ",".join(map(str, key)), count, mean, sem, law(key))
 
     meta = _meta(args, rep.meta())
     meta["contamination_fraction"] = rep.contamination_fraction

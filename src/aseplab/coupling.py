@@ -212,16 +212,17 @@ def choose_transition(s, p, rng):
         raise AbsorbingState("no enabled transitions")
     dt = rng.exponential(1.0 / total)
     u = rng.random() * total
-    # first move whose running rate sum exceeds u; the last if rounding
-    # leaves u at or above every partial sum
+    # first move whose running rate sum exceeds u.  For r < 1, u = r*total
+    # rounds below total, the running sum over every move, so i < n when no
+    # label move is enabled, and the label loop always breaks
     i = bisect_right(sums, u, 0, n)
-    if i == n and codes:
+    if i == n:
         for code, r in zip(codes, label_rates):
             acc += r
             if u < acc:
                 break
         return Transition("label", *code), dt
-    return _hop(s, walls[min(i, n - 1)]), dt
+    return _hop(s, walls[i]), dt
 
 
 def second_class_positions(s):
@@ -419,23 +420,33 @@ def conditional_xi_given_labels(m, k, p, pol=DEFAULT_POLICY):
     return math.exp(logv)
 
 
-def mean_and_sem(total, total_sq, n):
-    """Mean and standard error from accumulated sums over n replicas."""
+def mean_and_sem(rows, n):
+    """Mean and standard error over n replicas of their rows: one value or
+    array per replica, in replica order.  A key table passes only the
+    replicas that saw the key; a replica left out would add exactly 0 to
+    both sums.  Both sums are plain left folds in replica order, never
+    pairwise (numpy's sum) or compensated (the builtin float sum from
+    Python 3.12), so the printed bits do not depend on either.  With fewer
+    than two replicas there is no error estimate, and sem is None."""
+    total = reduce(operator.add, rows)
     mean = total / n
     if n < 2:
-        return mean, np.full_like(np.asarray(mean, dtype=float), np.inf)
-    var = (total_sq - total * mean) / (n - 1)
-    var = np.maximum(var, 0.0)
+        return mean, None
+    total_sq = reduce(operator.add, (r * r for r in rows))
+    var = np.maximum((total_sq - total * mean) / (n - 1), 0.0)
     return mean, np.sqrt(var / n)
 
 
 @dataclass
 class SimulationReport:
-    """Mergeable statistics from replicas of the coupled simulation.
+    """Mergeable record of replicas of the coupled simulation.
 
-    Per-site arrays aggregate replica time-means (sum and sum of squares)
-    so cross-replica standard errors are available; dicts hold per-replica
-    observation frequencies of the position/label vectors plus raw counts.
+    Counts add over replicas.  The rest is one row per replica, in replica
+    order: the time-mean xi and eta occupancy of each site over the probes,
+    and a Counter of the probes that saw each second-class position vector
+    and each label vector.  Rows cost O(replicas x (width + keys per
+    replica)) memory; every mean and standard error is computed from them
+    on demand.
     """
 
     lo: int
@@ -445,21 +456,13 @@ class SimulationReport:
     c: float
     T: float
     probe_times: tuple
-    n_replicas: int = 0
     n_events: int = 0
-    total_probes: int = 0
     contaminated_probes: int = 0
     N_violations: int = 0
-    xi_mean_sum: np.ndarray = None
-    xi_mean_sumsq: np.ndarray = None
-    eta_mean_sum: np.ndarray = None
-    eta_mean_sumsq: np.ndarray = None
-    x_counts: dict = field(default_factory=dict)
-    label_counts: dict = field(default_factory=dict)
-    x_freq_sum: dict = field(default_factory=dict)
-    x_freq_sumsq: dict = field(default_factory=dict)
-    label_freq_sum: dict = field(default_factory=dict)
-    label_freq_sumsq: dict = field(default_factory=dict)
+    xi_rows: list = field(default_factory=list)
+    eta_rows: list = field(default_factory=list)
+    x_rows: list = field(default_factory=list)
+    label_rows: list = field(default_factory=list)
     event_log: list = None
 
     @property
@@ -473,6 +476,14 @@ class SimulationReport:
     @property
     def n_probes(self):
         return len(self.probe_times)
+
+    @property
+    def n_replicas(self):
+        return len(self.xi_rows)
+
+    @property
+    def total_probes(self):
+        return self.n_replicas * self.n_probes
 
     @property
     def contamination_fraction(self):
@@ -497,61 +508,42 @@ class SimulationReport:
         }
 
     def xi_site_stats(self):
-        return mean_and_sem(self.xi_mean_sum, self.xi_mean_sumsq, self.n_replicas)
+        return mean_and_sem(self.xi_rows, self.n_replicas)
 
     def eta_site_stats(self):
-        return mean_and_sem(self.eta_mean_sum, self.eta_mean_sumsq, self.n_replicas)
+        return mean_and_sem(self.eta_rows, self.n_replicas)
 
-    def _freq_stats(self, freq_sum, freq_sumsq):
+    def key_stats(self, rows):
+        """{key: (count, mean, sem)} in sorted key order for x_rows or
+        label_rows: the probes that saw the key, and the mean and standard
+        error over replicas of the fraction of a replica's probes that saw
+        it.  Each (replica, key) entry is read once."""
+        seen = {}
+        for row in rows:
+            for key, cnt in row.items():
+                seen.setdefault(key, []).append(cnt)
+        n, probes = self.n_replicas, self.n_probes
         return {
-            key: mean_and_sem(total, freq_sumsq.get(key, 0.0), self.n_replicas)
-            for key, total in freq_sum.items()
+            key: (sum(cnts), *mean_and_sem([cnt / probes for cnt in cnts], n))
+            for key, cnts in sorted(seen.items())
         }
 
-    def x_freq_stats(self):
-        return self._freq_stats(self.x_freq_sum, self.x_freq_sumsq)
-
-    def label_freq_stats(self):
-        return self._freq_stats(self.label_freq_sum, self.label_freq_sumsq)
-
     def merge(self, other):
-        """Add other's statistics into self and return self.
+        """Add other's replicas after self's and return self.
 
-        The fields before n_replicas give the run layout and must agree.
-        Every later field except event_log is a count or a sum over
-        replicas, so it adds: numbers and arrays with +=, dicts key by key.
+        The fields before n_events give the run layout and must agree.
+        Every later field except event_log is a count, which adds, or a
+        list of rows, which extends: operator.iadd does both.
         """
         names = [f.name for f in fields(self)]
-        split = names.index("n_replicas")
+        split = names.index("n_events")
         if any(getattr(self, n) != getattr(other, n) for n in names[:split]):
             raise ValueError("cannot merge reports with different run layouts")
         for name in names[split:]:
-            if name == "event_log":
-                continue
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if isinstance(mine, dict):
-                for key, val in theirs.items():
-                    mine[key] = mine.get(key, 0) + val
-            else:
+            if name != "event_log":
+                mine, theirs = getattr(self, name), getattr(other, name)
                 setattr(self, name, operator.iadd(mine, theirs))
         return self
-
-
-def _empty_report(lo, hi, d, p, T, probe_times):
-    width = hi - lo + 1
-    return SimulationReport(
-        lo=lo,
-        hi=hi,
-        d=d,
-        q=p.q,
-        c=p.c,
-        T=T,
-        probe_times=tuple(probe_times),
-        xi_mean_sum=np.zeros(width),
-        xi_mean_sumsq=np.zeros(width),
-        eta_mean_sum=np.zeros(width),
-        eta_mean_sumsq=np.zeros(width),
-    )
 
 
 def _conserved_N_rows(rows, lo, hi):
@@ -591,10 +583,8 @@ def simulate_stationary(
         probe_times = [0.0] + [i * T / probes for i in range(1, probes + 1)]
     else:
         probe_times = [0.0]
-    rep = _empty_report(lo, hi, d, p, T, probe_times)
-    rep.n_replicas = 1
-    if keep_log:
-        rep.event_log = []
+    rep = SimulationReport(lo, hi, d, p.q, p.c, T, tuple(probe_times),
+                           event_log=[] if keep_log else None)
 
     n_probes = len(probe_times)
     occ = state.occ
@@ -628,34 +618,22 @@ def simulate_stationary(
         apply_transition(state, tr)
         rep.n_events += 1
 
-    # one row per probe, in probe order; eta drops the labeled particles
-    xi_rows = np.frombuffer(b"".join(xi_snaps), dtype=np.uint8).reshape(n_probes, -1)
-    eta_rows = xi_rows.copy()
-    rep.total_probes += n_probes
+    # one line per probe, in probe order; eta drops the labeled particles
+    xi_seen = np.frombuffer(b"".join(xi_snaps), dtype=np.uint8).reshape(n_probes, -1)
+    eta_seen = xi_seen.copy()
     if d:
         X = np.array(x_seen)
-        eta_rows[np.arange(n_probes)[:, None], X - lo] = 0
-        rep.contaminated_probes += int(
+        eta_seen[np.arange(n_probes)[:, None], X - lo] = 0
+        rep.contaminated_probes = int(
             ((X[:, 0] < lo + margin) | (X[:, -1] > hi - margin)).sum()
         )
-    rep.N_violations += int(
-        (_conserved_N_rows(xi_rows, lo, hi) != _conserved_N_rows(eta_rows, lo, hi) - d).sum()
+    rep.N_violations = int(
+        (_conserved_N_rows(xi_seen, lo, hi) != _conserved_N_rows(eta_seen, lo, hi) - d).sum()
     )
-    xi_mean = xi_rows.sum(axis=0) / n_probes
-    eta_mean = eta_rows.sum(axis=0) / n_probes
-    rep.xi_mean_sum += xi_mean
-    rep.xi_mean_sumsq += xi_mean ** 2
-    rep.eta_mean_sum += eta_mean
-    rep.eta_mean_sumsq += eta_mean ** 2
-    for seen, counts, freq_sum, freq_sumsq in (
-        (x_seen, rep.x_counts, rep.x_freq_sum, rep.x_freq_sumsq),
-        (labels_seen, rep.label_counts, rep.label_freq_sum, rep.label_freq_sumsq),
-    ):
-        for key, cnt in Counter(seen).items():
-            f = cnt / n_probes
-            counts[key] = cnt
-            freq_sum[key] = f
-            freq_sumsq[key] = f * f
+    rep.xi_rows.append(xi_seen.sum(axis=0) / n_probes)
+    rep.eta_rows.append(eta_seen.sum(axis=0) / n_probes)
+    rep.x_rows.append(Counter(x_seen))
+    rep.label_rows.append(Counter(labels_seen))
     return rep
 
 
@@ -676,10 +654,10 @@ def run_ensemble(
     eps=1e-6,
     margin=5,
 ):
-    """Independent replicas with per-replica RNG streams, folded into one
-    report in replica order as each completes, so no more than two reports
-    are held at once.  The report carries the contamination count; judging
-    it is the caller's business."""
+    """Independent replicas with per-replica RNG streams, merged into one
+    report in replica order as each completes.  The report keeps every
+    replica's rows, so it grows with the replica count.  It carries the
+    contamination count; judging it is the caller's business."""
     if replicas < 1:
         raise ValueError("need at least one replica")
     return reduce(

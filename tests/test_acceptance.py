@@ -279,22 +279,20 @@ def test_criterion_10_monte_carlo_matches_position_laws(mc_runs):
     failures = []
 
     rep1 = mc_runs[1]
-    freq = rep1.x_freq_stats()
+    cells = rep1.key_stats(rep1.x_rows)
     for m in range(-10, 11):
         key = (m,)
-        mean, sem = freq.get(key, (0.0, 0.0))
-        count = rep1.x_counts.get(key, 0)
+        count, mean, sem = cells.get(key, (0, 0.0, 0.0))
         target = prob_second_class_at(m, p, 1)
         if not cell_ok(mean, sem, count, target, rep1.total_probes):
             failures.append(f"d=1 m={m}")
 
     rep2 = mc_runs[2]
-    freq2 = rep2.x_freq_stats()
+    cells2 = rep2.key_stats(rep2.x_rows)
     for m1 in range(-8, 9):
         for m2 in range(m1 + 1, 9):
             key = (m1, m2)
-            mean, sem = freq2.get(key, (0.0, 0.0))
-            count = rep2.x_counts.get(key, 0)
+            count, mean, sem = cells2.get(key, (0, 0.0, 0.0))
             target = prob_positions(key, p)
             if not cell_ok(mean, sem, count, target, rep2.total_probes):
                 failures.append(f"d=2 m={key}")

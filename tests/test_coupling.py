@@ -1,3 +1,4 @@
+from collections import Counter
 import copy
 import dataclasses
 import math
@@ -12,6 +13,7 @@ from aseplab.blocking import (
     marginal,
     prob_left_particles,
     prob_window_particles,
+    sample_blocking,
 )
 from aseplab.coupling import (
     AbsorbingState,
@@ -27,6 +29,7 @@ from aseplab.coupling import (
     enabled_transitions,
     eta_from,
     labels_from_positions,
+    mean_and_sem,
     pi_detailed_balance_check,
     pi_label,
     prob_positions,
@@ -469,7 +472,7 @@ class TestSimulation:
         sigma = np.maximum(sem, binom)
         assert np.all(np.abs(mean - target) <= 3.5 * sigma + 1e-9)
         # label start is an exact pi sample
-        f0 = rep.label_freq_sum.get((0,), 0.0) / rep.n_replicas
+        _, f0, _ = rep.key_stats(rep.label_rows).get((0,), (0, 0.0, None))
         assert abs(f0 - (1 - p.q)) < 3.5 * math.sqrt(0.25 / rep.n_replicas)
 
     def test_short_run_stays_stationary(self):
@@ -479,9 +482,9 @@ class TestSimulation:
         )
         assert rep.N_violations == 0
         assert rep.contamination_fraction < 0.01
-        freq = rep.x_freq_stats()
+        cells = rep.key_stats(rep.x_rows)
         for m in (-1, 0, 1):
-            mean, sem = freq[(m,)]
+            _, mean, sem = cells[(m,)]
             target = prob_second_class_at(m, p, 1)
             assert abs(mean - target) <= 3.5 * max(sem, 1e-4)
         # eta is the blocking measure one c-step up
@@ -495,9 +498,9 @@ class TestSimulation:
         kw = dict(window=(-20, 20), T=2.0, replicas=6, seed=5, probes=3, eps=1e-4)
         a = run_ensemble(p, 1, **kw)
         b = run_ensemble(p, 1, **kw)
-        assert a.x_counts == b.x_counts
+        assert a.x_rows == b.x_rows
         assert a.n_events == b.n_events
-        assert a.xi_mean_sum.tolist() == b.xi_mean_sum.tolist()
+        assert [r.tolist() for r in a.xi_rows] == [r.tolist() for r in b.xi_rows]
 
     def test_replica_streams(self):
         r0 = replica_rng(7, 0).random(4).tolist()
@@ -529,8 +532,9 @@ class TestSimulation:
             assert rng.random() == after_sample.random()
         for rep in reps:
             assert rep.n_events == 0 and rep.total_probes == 5
-            assert rep.xi_mean_sum.tolist() == [1.0] * 6
-            assert rep.xi_mean_sumsq.tolist() == [1.0] * 6
+            assert [r.tolist() for r in rep.xi_rows] == [[1.0] * 6]
+            mean, sem = rep.xi_site_stats()
+            assert mean.tolist() == [1.0] * 6 and sem is None
         assert reps[1].event_log == []
         assert reps[0].meta() == reps[1].meta()
 
@@ -546,29 +550,42 @@ class TestSimulation:
 
     def test_merge_adds_every_statistic(self):
         p = AsepParams(q=0.5, c=0.0)
-        a, b = (
+        a, b, c = (
             simulate_stationary(p, 2, (-20, 20), 2.0, np.random.default_rng(s),
                                 probes=6, eps=1e-4)
-            for s in (3, 4)
+            for s in (3, 4, 5)
         )
-        b.n_replicas = 2  # as if b were already a merge of two replicas
-        assert set(a.x_counts) ^ set(b.x_counts)  # keys on one side only
+        assert b.merge(c) is b  # b now holds two replicas
+        assert set(a.x_rows[0]) ^ set(b.x_rows[0])  # keys on one side only
         names = [f.name for f in dataclasses.fields(SimulationReport)]
-        additive = names[names.index("n_replicas"):names.index("event_log")]
+        additive = names[names.index("n_events"):names.index("event_log")]
         before = {n: (copy.deepcopy(getattr(a, n)), getattr(b, n)) for n in additive}
         assert a.merge(b) is a
         for n in additive:
             mine, theirs = before[n]
             got = getattr(a, n)
-            if isinstance(mine, dict):
-                assert got == {k: mine.get(k, 0) + theirs.get(k, 0)
-                               for k in set(mine) | set(theirs)}, n
-            elif isinstance(mine, np.ndarray):
-                assert np.array_equal(got, mine + theirs), n
+            if isinstance(mine, list):
+                # rows concatenate in replica order
+                assert len(got) == len(mine) + len(theirs) == 3, n
+                for row, want in zip(got, mine + theirs):
+                    if isinstance(want, np.ndarray):
+                        assert np.array_equal(row, want), n
+                    else:
+                        assert row == want, n
             else:
                 assert got == mine + theirs, n
-        assert a.n_replicas == 3
+        assert a.n_replicas == 3 and a.total_probes == 3 * 7
         assert a.event_log is None
+
+    def test_ensemble_rows_are_its_replicas_in_order(self):
+        kw = dict(probes=4, eps=1e-4)
+        rep = run_ensemble(P5, 2, (-20, 20), 2.0, replicas=3, seed=8, **kw)
+        for i in range(3):
+            one = simulate_stationary(P5, 2, (-20, 20), 2.0, replica_rng(8, i), **kw)
+            assert np.array_equal(rep.xi_rows[i], one.xi_rows[0])
+            assert np.array_equal(rep.eta_rows[i], one.eta_rows[0])
+            assert rep.x_rows[i] == one.x_rows[0]
+            assert rep.label_rows[i] == one.label_rows[0]
 
     def test_event_log(self):
         p = AsepParams(q=0.5, c=0.0)
@@ -585,3 +602,149 @@ class TestSimulation:
     def test_ensemble_needs_replicas(self):
         with pytest.raises(ValueError):
             run_ensemble(P5, 1, (-20, 20), 1.0, replicas=0, seed=1)
+
+
+def left_fold_stats(rows, n):
+    """mean_and_sem written out: both sums added one row at a time."""
+    total, total_sq = rows[0], rows[0] * rows[0]
+    for r in rows[1:]:
+        total = total + r
+        total_sq = total_sq + r * r
+    mean = total / n
+    var = np.maximum((total_sq - total * mean) / (n - 1), 0.0)
+    return mean, np.sqrt(var / n)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestMeanAndSem:
+    @pytest.mark.parametrize("shape", [(), (1,), (51,)])
+    def test_left_fold_bit_for_bit(self, shape):
+        # a pairwise or compensated sum differs in the last bits here
+        rng = np.random.default_rng(len(shape) and shape[0])
+        for n in (2, 3, 200, 250, 251, 256, 300, 999, 1000, 1500):
+            rows = [rng.random(shape) for _ in range(n)]
+            if not shape:
+                rows = [float(r) for r in rows]
+            mean, sem = mean_and_sem(rows, n)
+            want_mean, want_sem = left_fold_stats(rows, n)
+            assert bits(mean) == bits(want_mean) and bits(sem) == bits(want_sem)
+
+    def test_sparse_rows_equal_zero_filled_rows(self):
+        rng = np.random.default_rng(5)
+        n = 300
+        for _ in range(20):
+            seen = rng.random(n) < 0.3
+            freqs = rng.integers(1, 12, n) / 11
+            sparse = [float(f) for f, hit in zip(freqs, seen) if hit]
+            dense = [float(f) if hit else 0.0 for f, hit in zip(freqs, seen)]
+            got, want = mean_and_sem(sparse, n), mean_and_sem(dense, n)
+            assert bits(got) == bits(want)
+
+    def test_one_replica_has_no_sem(self):
+        assert mean_and_sem([0.25], 1) == (0.25, None)
+        mean, sem = mean_and_sem([np.array([0.5, 1.0])], 1)
+        assert mean.tolist() == [0.5, 1.0] and sem is None
+        rep = run_ensemble(P5, 1, (-20, 20), 1.0, replicas=1, seed=2, eps=1e-4)
+        for mean, sem in (rep.xi_site_stats(), rep.eta_site_stats()):
+            assert mean.shape == (41,) and sem is None
+        assert all(sem is None for _, _, sem in rep.key_stats(rep.x_rows).values())
+
+
+def replay(p, d, window, T, seed, probes, eps, margin, log):
+    """Rebuild a replica's rows and counts from its event log alone.
+
+    The start is re-drawn from the seed, the logged moves are applied to a
+    plain list of occupancies and a list of labels, and each probe time,
+    i T / probes, reads the state holding there: the one before the first
+    event after it."""
+    lo, hi = window
+    rng = np.random.default_rng(seed)
+    occ = sample_blocking(window, p, rng, eps=eps).bits.tolist()
+    labels = list(sample_pi(d, p.q, rng))
+    times = [i * T / probes for i in range(probes + 1)] if T > 0 and probes else [0.0]
+    xi_sum, eta_sum = np.zeros(len(occ), dtype=int), np.zeros(len(occ), dtype=int)
+    x_seen, label_seen = Counter(), Counter()
+    out = dict(contaminated_probes=0, N_violations=0)
+
+    def conserved_N(config):
+        holes_right = sum(1 for i, b in enumerate(config) if lo + i >= 1 and not b)
+        parts_left = sum(1 for i, b in enumerate(config) if lo + i <= 0 and b)
+        return holes_right + max(lo - 1, 0) - parts_left - max(-hi, 0)
+
+    def record():
+        sites = [lo + i for i, b in enumerate(occ) if b]
+        X = tuple(sites[x] for x in labels)
+        eta = list(occ)
+        for site in X:
+            eta[site - lo] = 0
+        xi_sum[:] += occ
+        eta_sum[:] += eta
+        if d:
+            x_seen[X] += 1
+            label_seen[tuple(labels)] += 1
+            out["contaminated_probes"] += X[0] < lo + margin or X[-1] > hi - margin
+        out["N_violations"] += conserved_N(occ) != conserved_N(eta) - d
+
+    k = 0
+    for t, tr in log:
+        while k < len(times) and times[k] <= t:
+            record()
+            k += 1
+        if tr.kind == "particle":
+            i = tr.idx - lo
+            assert occ[i] == 1 and occ[i + tr.step] == 0
+            occ[i], occ[i + tr.step] = 0, 1
+        else:
+            labels[tr.idx] += tr.step
+            assert labels == sorted(set(labels))
+    while k < len(times):  # a state with no enabled move holds for ever
+        record()
+        k += 1
+    n = len(times)
+    return dict(out, probe_times=tuple(times), xi_rows=[xi_sum / n],
+                eta_rows=[eta_sum / n], x_rows=[x_seen], label_rows=[label_seen])
+
+
+class TestEventLogReplay:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_replay_rebuilds_the_report(self, d):
+        # a wide margin, so that some probes of a replica count as
+        # contaminated and others do not
+        p = AsepParams(q=0.7, c=0.3)
+        kw = dict(probes=15, eps=0.45, margin=12)
+        replayed = 0
+        for seed in range(1, 6):
+            try:
+                rep = simulate_stationary(p, d, (-16, 16), 4.0,
+                                          np.random.default_rng(seed),
+                                          keep_log=True, **kw)
+            except LabelOutOfRange:  # the pi sample outranks the particles
+                continue
+            assert rep.n_events == len(rep.event_log) > 0
+            want = replay(p, d, (-16, 16), 4.0, seed, log=rep.event_log, **kw)
+            for name, value in want.items():
+                got = getattr(rep, name)
+                if name in ("xi_rows", "eta_rows"):
+                    assert bits(got) == bits(value), name
+                else:
+                    assert got == value, name
+            replayed += 1
+        assert replayed >= 3
+
+    def test_replay_of_a_window_that_freezes(self):
+        # a two-site window reaches 00 or 11 and holds there for ever
+        p = AsepParams(q=0.5, c=0.5)
+        kw = dict(probes=10, eps=0.9, margin=0)
+        frozen = 0
+        for seed in range(8):
+            rep = simulate_stationary(p, 0, (0, 1), 5.0, np.random.default_rng(seed),
+                                      keep_log=True, **kw)
+            want = replay(p, 0, (0, 1), 5.0, seed, log=rep.event_log, **kw)
+            assert bits(rep.xi_rows) == bits(want["xi_rows"])
+            assert bits(rep.eta_rows) == bits(want["eta_rows"])
+            assert rep.N_violations == want["N_violations"]
+            frozen += not rep.event_log or rep.event_log[-1][0] <= 5.0
+        assert frozen

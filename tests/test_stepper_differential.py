@@ -10,6 +10,7 @@ occupied sites and of domain walls equal to the ones the occupancy bits
 give after every step.
 """
 
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,9 +21,9 @@ from aseplab.coupling import (
     AbsorbingState,
     CoupledState,
     LabelOutOfRange,
+    SimulationReport,
     Transition,
     _conserved_N_rows,
-    _empty_report,
     apply_transition,
     as_labels,
     choose_transition,
@@ -137,9 +138,7 @@ def oracle_simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin
         probe_times = [0.0] + [i * T / probes for i in range(1, probes + 1)]
     else:
         probe_times = [0.0]
-    rep = _empty_report(lo, hi, d, p, T, probe_times)
-    rep.n_replicas = 1
-    rep.event_log = []
+    rep = SimulationReport(lo, hi, d, p.q, p.c, T, tuple(probe_times), event_log=[])
 
     n_probes = len(probe_times)
     xi_acc = np.zeros(rep.width)
@@ -153,7 +152,6 @@ def oracle_simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin
         X = oracle_second_class_positions(state) if d else ()
         eta = oracle_eta_from(state) if d else state.xi
         eta_acc[:] += eta.bits
-        rep.total_probes += 1
         if d:
             x_local[X] = x_local.get(X, 0) + 1
             label_local[state.labels] = label_local.get(state.labels, 0) + 1
@@ -176,20 +174,11 @@ def oracle_simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin
         t = t_next
         rep.n_events += 1
 
-    rep.xi_mean_sum += xi_acc / n_probes
-    rep.xi_mean_sumsq += (xi_acc / n_probes) ** 2
-    rep.eta_mean_sum += eta_acc / n_probes
-    rep.eta_mean_sumsq += (eta_acc / n_probes) ** 2
-    for key, cnt in x_local.items():
-        f = cnt / n_probes
-        rep.x_counts[key] = rep.x_counts.get(key, 0) + cnt
-        rep.x_freq_sum[key] = rep.x_freq_sum.get(key, 0.0) + f
-        rep.x_freq_sumsq[key] = rep.x_freq_sumsq.get(key, 0.0) + f * f
-    for key, cnt in label_local.items():
-        f = cnt / n_probes
-        rep.label_counts[key] = rep.label_counts.get(key, 0) + cnt
-        rep.label_freq_sum[key] = rep.label_freq_sum.get(key, 0.0) + f
-        rep.label_freq_sumsq[key] = rep.label_freq_sumsq.get(key, 0.0) + f * f
+    assert sum(x_local.values()) == sum(label_local.values()) == (n_probes if d else 0)
+    rep.xi_rows.append(xi_acc / n_probes)
+    rep.eta_rows.append(eta_acc / n_probes)
+    rep.x_rows.append(Counter(x_local))
+    rep.label_rows.append(Counter(label_local))
     return rep
 
 
@@ -211,12 +200,16 @@ def assert_consistent(s):
 
 
 def assert_same_report(a, b):
+    """Every field equal, the rows row by row and arrays to the dtype."""
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        if f.name in ("xi_rows", "eta_rows"):
+            assert len(x) == len(y), f.name
+            for u, v in zip(x, y):
+                assert u.dtype == v.dtype and np.array_equal(u, v), f.name
         else:
             assert x == y, f.name
+    assert (a.n_replicas, a.total_probes) == (b.n_replicas, b.total_probes)
 
 
 def lockstep(s, o, p, seed, steps):

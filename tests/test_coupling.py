@@ -623,7 +623,7 @@ class TestMeanAndSem:
     @pytest.mark.parametrize("shape", [(), (1,), (51,)])
     def test_left_fold_bit_for_bit(self, shape):
         # a pairwise or compensated sum differs in the last bits here
-        rng = np.random.default_rng(len(shape) and shape[0])
+        rng = np.random.default_rng(sum(shape))
         for n in (2, 3, 200, 250, 251, 256, 300, 999, 1000, 1500):
             rows = [rng.random(shape) for _ in range(n)]
             if not shape:

@@ -89,12 +89,12 @@ def reachable(width):
 @pytest.mark.parametrize("width", range(1, 9))
 def test_detailed_balance_exact(width):
     for (n, d), states, rates in reachable(width):
-            # particle count and d are the only conserved quantities
-            assert len(states) == comb(width, n) * comb(n, d)
-            w = {k: weight(s) for k, s in states.items()}
-            for a, out in rates.items():
-                for b, r in out.items():
-                    assert w[a] * r == w[b] * rates[b][a], (a, b)
+        # particle count and d are the only conserved quantities
+        assert len(states) == comb(width, n) * comb(n, d)
+        w = {k: weight(s) for k, s in states.items()}
+        for a, out in rates.items():
+            for b, r in out.items():
+                assert w[a] * r == w[b] * rates[b][a], (a, b)
 
 
 class StubRng:

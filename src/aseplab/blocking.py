@@ -10,12 +10,14 @@ Closed-form laws evaluated here: the N distribution, the half-infinite
 left-particle-count law, the finite-window particle-count law, and the
 right-hole law obtained from particle-hole symmetry.  Everything heavy goes
 through log space so large |c - m| and k are safe.
+
+The laws need only the standard library.  numpy is imported inside the
+functions that build or read arrays (the window state, the sampler, the
+brute-force oracle), so `aseplab verify` and `aseplab dist` never load it.
 """
 
 from dataclasses import dataclass, replace
 import math
-
-import numpy as np
 
 from .partitions import SizeLimit
 from .qseries import (
@@ -67,6 +69,7 @@ def marginal(i, z, p):
 
 def occupation_profile(sites, p):
     """Vector of marginal(i, 1, p) over an integer array of sites."""
+    import numpy as np
     t = (np.asarray(sites, dtype=float) - p.c) * math.log(p.q)
     out = np.empty_like(t)
     pos = t >= 0
@@ -82,9 +85,10 @@ class WindowState:
 
     lo: int
     hi: int
-    bits: np.ndarray
+    bits: "numpy.ndarray"
 
     def __post_init__(self):
+        import numpy as np
         if self.lo > self.hi:
             raise ValueError("need lo <= hi")
         bits = np.asarray(self.bits, dtype=np.uint8)
@@ -100,6 +104,7 @@ class WindowState:
 
     @property
     def sites(self):
+        import numpy as np
         return np.arange(self.lo, self.hi + 1)
 
     def occupancy(self, i):
@@ -133,10 +138,11 @@ class CountDist:
     """Distribution of an integer count on a contiguous support."""
 
     n_min: int
-    probs: np.ndarray
+    probs: "numpy.ndarray"
 
     @property
     def support(self):
+        import numpy as np
         return np.arange(self.n_min, self.n_min + len(self.probs))
 
     @property
@@ -156,6 +162,7 @@ def sample_blocking(window, p, rng, eps=1e-12):
     Requires the boundary sites to already be frozen to ground state within
     eps, so the cut bias is quantifiable.
     """
+    import numpy as np
     lo, hi = window
     if lo > hi:
         raise ValueError("need lo <= hi")
@@ -310,6 +317,7 @@ def brute_force_window_law(m1, m2, p):
     """Exact window particle-count law by enumerating all 2^mhat patterns
     with their product weights.  Independent oracle for
     prob_window_particles; exponential on purpose, capped at mhat = 20."""
+    import numpy as np
     mhat = m2 - m1 - 1
     if mhat < 1:
         raise ValueError("need m1 + 1 < m2")

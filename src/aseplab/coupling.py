@@ -13,6 +13,9 @@ an exact sample stays in law for all t.  Site exchanges across the frozen
 window boundary are disabled; the simulator counts how often the labels get
 near enough to the edge for that truncation to matter instead of assuming
 it never does.
+
+The label and position laws need only the standard library; numpy is
+imported inside the simulator's functions that build or read arrays.
 """
 
 from bisect import bisect_left, bisect_right
@@ -23,8 +26,6 @@ import itertools
 import math
 import operator
 from typing import NamedTuple
-
-import numpy as np
 
 from .blocking import RelationCheck, WindowState, _log1p_qpow, sample_blocking
 from .qseries import (
@@ -76,6 +77,7 @@ class CoupledState:
     _rate_tables: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        import numpy as np
         self.labels = as_labels(self.labels)
         lo, hi = self.xi.lo, self.xi.hi
         occ = self.occ = bytearray(self.xi.bits.tobytes())
@@ -109,9 +111,11 @@ def _wall_rates(s, q):
     hop at rate q, and the wall types alternate, so the rates are
     1, q, 1, q, ... when site lo is occupied and q, 1, q, ... when it is
     empty.  Both patterns are built once per state and q, one entry per
-    bond of the window; the first len(s.walls) entries are the live ones."""
+    bond of the window; the first len(s.walls) entries are the live ones.
+    The tables are keyed on q's type as well as its value, since
+    Fraction(1, 2) == 0.5 would otherwise hand float q Fraction rates."""
     tables = s._rate_tables
-    if tables is None or tables[0] != q:
+    if tables is None or tables[0] != q or type(tables[0]) is not type(q):
         n = len(s.occ) - 1
         tables = (q,) + tuple(
             (rates, list(itertools.accumulate(rates)))
@@ -428,6 +432,7 @@ def mean_and_sem(rows, n):
     pairwise (numpy's sum) or compensated (the builtin float sum from
     Python 3.12), so the printed bits do not depend on either.  With fewer
     than two replicas there is no error estimate, and sem is None."""
+    import numpy as np
     total = reduce(operator.add, rows)
     mean = total / n
     if n < 2:
@@ -471,6 +476,7 @@ class SimulationReport:
 
     @property
     def sites(self):
+        import numpy as np
         return np.arange(self.lo, self.hi + 1)
 
     @property
@@ -548,6 +554,7 @@ class SimulationReport:
 
 def _conserved_N_rows(rows, lo, hi):
     """WindowState.conserved_N of every row of a (probes, width) 0/1 array."""
+    import numpy as np
     sites = np.arange(lo, hi + 1)
     holes_right = (rows[:, sites >= 1] == 0).sum(axis=1)
     parts_left = rows[:, sites <= 0].sum(axis=1, dtype=np.int64)
@@ -574,6 +581,7 @@ def simulate_stationary(
     within `margin` sites of the window edge.  With keep_log, rep.event_log
     lists every event as a (time, Transition) pair.
     """
+    import numpy as np
     lo, hi = window
     xi = sample_blocking(window, p, rng, eps=eps)
     labels = sample_pi(d, p.q, rng)
@@ -640,6 +648,7 @@ def simulate_stationary(
 def replica_rng(seed, index):
     """Documented stream-splitting rule: replica i draws from
     default_rng(SeedSequence([seed, i]))."""
+    import numpy as np
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 

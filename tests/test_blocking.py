@@ -132,6 +132,51 @@ def test_sample_blocking_near_ground_state_at_small_q():
     assert (s.bits[offsite] == want[offsite]).mean() >= 0.9
 
 
+class UniformStub:
+    """rng stand-in: random(n) returns the given draws and records n."""
+
+    def __init__(self, draws):
+        self.draws, self.calls = draws, []
+
+    def random(self, n):
+        self.calls.append(n)
+        return self.draws
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("c", [0.0, 0.37, -2.5])
+def test_sample_blocking_occupies_exactly_below_its_threshold(q, c):
+    # site i is occupied iff its draw r_i < occupation_profile(i): a draw at
+    # the threshold leaves the site empty, one ulp below fills it
+    p = AsepParams(q, c)
+    half = math.ceil(math.log(1e-6) / math.log(q)) + 1
+    lo, hi = math.floor(c) - half, math.ceil(c) + half
+    thr = occupation_profile(np.arange(lo, hi + 1), p)
+    assert (thr > 0).all()
+    below = np.nextafter(thr, 0.0)
+    n = hi - lo + 1
+    for fill in (np.zeros(n, bool), np.ones(n, bool), np.arange(n) % 3 == 1):
+        rng = UniformStub(np.where(fill, below, thr))
+        s = sample_blocking((lo, hi), p, rng, eps=1e-6)
+        assert rng.calls == [n]
+        assert s.bits.tolist() == fill.astype(np.uint8).tolist()
+
+
+def test_occupation_profile_within_32_ulp_of_marginal():
+    # the vector formula and the scalar log-space marginal round differently;
+    # on this grid they differ by at most 32 ulp of the marginal (measured:
+    # the worst cell is q = 0.5, c = 0, site -48)
+    worst = 0.0
+    for q in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        for c in (0.0, 0.25, -0.5, 0.37, -3.7, 1.5, 10.1, -20.3):
+            p = AsepParams(q, c)
+            sites = np.arange(-60, 61)
+            for i, v in zip(sites, occupation_profile(sites, p)):
+                m = marginal(int(i), 1, p)
+                worst = max(worst, abs(float(v) - m) / math.ulp(m))
+    assert worst <= 32
+
+
 def test_sample_blocking_occupancy_statistics():
     p = AsepParams(0.5, 0.0)
     rng = np.random.default_rng(123)

@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import aseplab
 from aseplab.blocking import AsepParams, prob_N
 from aseplab.cli import main
 
@@ -575,3 +579,51 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == "" and "usage:" in err and "expected" in err
         assert "invalid" not in err and not re.search(r"\b_\w", err)
+
+
+# A fresh interpreter imports aseplab.cli from the package's own source tree,
+# runs every command of its first list, notes whether numpy is loaded, then
+# runs the second list.
+STARTUP_CHILD = """
+import json, sys
+src, before, after = json.loads(sys.argv[1])
+sys.path.insert(0, src)
+import aseplab.cli as cli
+rcs = [cli.main(argv) for argv in before]
+loaded = "numpy" in sys.modules
+rcs += [cli.main(argv) for argv in after]
+print(json.dumps([rcs, loaded, "numpy" in sys.modules]))
+"""
+
+DIST_LAWS = [
+    ["--law", "N", "--q", "0.5"],
+    ["--law", "left-particles", "--q", "0.5", "--m", "0"],
+    ["--law", "window-particles", "--q", "0.5", "--m1", "-3", "--m2", "3"],
+    ["--law", "right-holes", "--q", "0.5", "--m", "0"],
+    ["--law", "second-class", "--q", "0.5", "--d", "2"],
+    ["--law", "positions", "--q", "0.5", "--d", "2"],
+    ["--law", "pi", "--q", "0.5", "--d", "2"],
+]
+
+
+def test_verify_and_dist_run_without_numpy():
+    """verify and dist need the standard library only; simulate loads numpy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aseplab.__file__)))
+    out = ["--out", os.devnull]
+    before = [
+        ["verify", "--identity", "all", "--exact", "--N", "8", "--m", "4"] + out,
+        ["verify", "--identity", "all", "--q", "0.5"] + out,
+        *(["dist", *law, "--format", fmt] + out
+          for law in DIST_LAWS for fmt in ("csv", "json")),
+        ["dist", "--law", "pi", "--q", "0.5", "--d", "0"] + out,
+    ]
+    after = [["simulate", "--q", "0.5", "--window=-25:25", "--replicas", "2",
+              "--T", "1"] + out]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", STARTUP_CHILD,
+         json.dumps([src, before, after])],
+        capture_output=True, text=True, timeout=120, check=True)
+    rcs, loaded, loaded_after = json.loads(proc.stdout)
+    assert rcs == [0] * (len(before) - 1) + [2, 0]
+    assert not loaded, "numpy was imported by verify or dist"
+    assert loaded_after, "simulate ran without numpy"

@@ -1,6 +1,8 @@
 from collections import Counter
 import copy
 import dataclasses
+from fractions import Fraction
+import itertools
 import math
 
 import numpy as np
@@ -64,6 +66,17 @@ def state_from_sites(lo, hi, occupied, labels):
 
 
 P5 = AsepParams(q=0.5, c=0.0)
+
+
+class GeometricStub:
+    """rng stand-in: geometric(p) records p and returns the next value."""
+
+    def __init__(self, values):
+        self.values, self.params = iter(values), []
+
+    def geometric(self, p):
+        self.params.append(p)
+        return next(self.values)
 
 
 def gillespie_step(s, p, rng):
@@ -197,6 +210,18 @@ class TestTransitionTable:
         assert s2.labels == (0,)
         assert np.array_equal(s2.xi.bits, s.xi.bits)
 
+    @pytest.mark.parametrize("first", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
+    def test_rates_take_the_type_of_q(self, first):
+        # Fraction(1, 2) == 0.5, so a rate cache keyed on the value alone
+        # hands the second q the first one's type
+        then = 0.5 if isinstance(first, Fraction) else Fraction(1, 2)
+        s = self.crafted((1,))
+        for q in (first, then, first):
+            moves = enabled_transitions(s, AsepParams(q=q))
+            q_rates = [r for _, r in moves if r != 1]
+            assert len(q_rates) == 3
+            assert all(type(r) is type(q) for r in q_rates), (q, q_rates)
+
 
 class TestGillespie:
     def test_absorbing(self):
@@ -264,8 +289,6 @@ class TestLabelLaw:
         assert pi_label((2, 5), q) == pytest.approx((1 - q) * (1 - q * q) * q**6)
 
     def test_pi_normalizes(self):
-        import itertools
-
         q = 0.6
         total = sum(
             pi_label(x, q) for x in itertools.combinations(range(60), 2)
@@ -299,8 +322,6 @@ class TestLabelLaw:
         for _ in range(n):
             x = sample_pi(2, q, rng)
             counts[x] = counts.get(x, 0) + 1
-        import itertools
-
         cells = [x for x in itertools.combinations(range(13), 2)]
         probs = [pi_label(x, q) for x in cells]
         f_obs = [counts.get(x, 0) for x in cells]
@@ -312,6 +333,38 @@ class TestLabelLaw:
 
     def test_sample_pi_empty(self):
         assert sample_pi(0, 0.5, np.random.default_rng(0)) == ()
+
+    @pytest.mark.parametrize("q", [0.5, 1 / 3, 0.9])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sample_pi_gap_parameters(self, d, q):
+        # x_1 and the gaps x_j - x_{j-1} - 1 are geometric with success
+        # probabilities 1 - q^(d+1-j), drawn for j = 1..d in that order
+        rng = GeometricStub([1] * d)
+        assert sample_pi(d, q, rng) == tuple(range(d))
+        assert rng.params == [1.0 - q ** (d + 1 - j) for j in range(1, d + 1)]
+
+    @pytest.mark.parametrize("q", [0.5, 1 / 3, 0.9])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sample_pi_gap_law_is_pi(self, d, q):
+        # feed every tuple of geometric values up to a cap, read each draw's
+        # ratio exponent k (its parameter is 1 - q^k), and convolve the gap
+        # laws in Fraction arithmetic at the exact q they approximate:
+        # every label tuple with x_d <= cap must get exactly pi(x)
+        cap = 8
+        Q = Fraction(q).limit_denominator(10)
+        law = {}
+        for values in itertools.product(range(1, cap + 2), repeat=d):
+            rng = GeometricStub(values)
+            x = sample_pi(d, q, rng)
+            prob = Fraction(1)
+            for g, param in zip(values, rng.params):
+                k, = [k for k in range(1, d + 1) if param == 1.0 - q ** k]
+                prob *= (1 - Q ** k) * Q ** (k * (g - 1))
+            if x[-1] <= cap:
+                law[x] = law.get(x, 0) + prob
+        norm = math.prod(1 - Q ** i for i in range(1, d + 1))
+        assert law == {x: norm * Q ** (sum(x) - d * (d - 1) // 2)
+                       for x in itertools.combinations(range(cap + 1), d)}
 
 
 class TestSecondClassLaws:

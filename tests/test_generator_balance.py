@@ -3,13 +3,14 @@
 For every window of width <= 8, particle count and d <= 2, the states
 reachable from the packed ground state are enumerated through the moves
 enabled_transitions offers.  Each move is checked against its reverse in
-exact rational arithmetic at q = 1/2:
+exact rational arithmetic at q = 1/2, and again at the Fraction q = 1/3,
+2/3 and 9/10:
 
     w(s) r(s -> s') = w(s') r(s' -> s),
 
 where w is the blocking product measure restricted to the window times the
-label law pi_label.  This tests the simulator's move rules directly; the
-Monte Carlo checks do not, because they start in the stationary law.
+label law pi.  This tests the simulator's move rules directly; the Monte
+Carlo checks do not, because they start in the stationary law.
 
 The same states then check the sampler: with a stub generator,
 choose_transition must pick each enabled move for a uniform draw at the
@@ -30,7 +31,6 @@ from aseplab.coupling import (
     apply_transition,
     choose_transition,
     enabled_transitions,
-    pi_label,
 )
 
 Q = Fraction(1, 2)
@@ -43,14 +43,24 @@ def key(s):
     return bytes(s.occ), s.labels
 
 
-def weight(s):
-    """Blocking measure of the window configuration (c = 0) times pi."""
-    w = Fraction(1)
-    for site, z in zip(range(s.xi.lo, s.xi.hi + 1), s.occ):
-        t = Q ** site
-        w *= (1 if z else t) / (1 + t)
-    # at q = 1/2 every factor of pi is a dyadic rational, exact in a float
-    return w * Fraction(pi_label(s.labels, Q))
+def weights(states, q):
+    """{key: w} for states of one window at the Fraction q: the blocking
+    measure of the window configuration (c = 0) times pi, both in exact
+    arithmetic.  pi_label is a float, exact only at dyadic q, so pi is
+    built here.  Each site's two factors are computed once."""
+    s = next(iter(states.values()))
+    factors = [((t := q ** site) / (1 + t), 1 / (1 + t))
+               for site in range(s.xi.lo, s.xi.hi + 1)]
+    out = {}
+    for k, s in states.items():
+        w = Fraction(1)
+        for (empty, full), z in zip(factors, s.occ):
+            w *= full if z else empty
+        d = len(s.labels)
+        for i in range(1, d + 1):
+            w *= 1 - q ** i
+        out[k] = w * q ** (sum(s.labels) - d * (d - 1) // 2)
+    return out
 
 
 def explore(start):
@@ -91,10 +101,29 @@ def test_detailed_balance_exact(width):
     for (n, d), states, rates in reachable(width):
         # particle count and d are the only conserved quantities
         assert len(states) == comb(width, n) * comb(n, d)
-        w = {k: weight(s) for k, s in states.items()}
+        w = weights(states, Q)
         for a, out in rates.items():
             for b, r in out.items():
                 assert w[a] * r == w[b] * rates[b][a], (a, b)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(2, 3), Fraction(9, 10)],
+                         ids=str)
+def test_detailed_balance_exact_at_fraction_q(q, width):
+    p = AsepParams(q=q, c=0)
+    for _, states, rates in reachable(width):
+        # which moves are enabled does not depend on q, so the targets
+        # explored at q = 1/2 pair with the moves offered at q, in order
+        at_q = {}
+        for a, s in states.items():
+            moves = enabled_transitions(s, p)
+            assert len(moves) == len(rates[a]), a
+            at_q[a] = {b: Fraction(r) for b, (_, r) in zip(rates[a], moves)}
+        w = weights(states, q)
+        for a, out in at_q.items():
+            for b, r in out.items():
+                assert w[a] * r == w[b] * at_q[b][a], (a, b)
 
 
 class StubRng:

@@ -33,9 +33,10 @@ print(f"\nloose policy: rel dev {r.rel_dev:.2e} within bound {r.trunc_bound:.2e}
       "PASS" if r.passed else "FAIL")
 
 print("\nexact suites (integer arithmetic, no tolerances)")
-for n in range(-3, 4):
+offsets = range(-3, 4)
+for n, passed in zip(offsets, verify_durfee_exact(18, offsets)):
     print(f"  rectangle decomposition, offset {n:+d}, all partitions <= 18:",
-          verify_durfee_exact(18, n))
+          passed)
 print("  product coefficient triangle N=12, z-degree <= 5:",
       verify_euler_exact(12, 5))
 for m in (4, 9):

@@ -192,12 +192,9 @@ def cmd_verify(parser, args):
     kw = {} if tol is None else {"tol": tol}
     if args.exact:
         if args.identity in ("durfee", "all"):
-            for n in range(-3, 4):
-                ok &= add(
-                    "durfee_exact",
-                    {"N": args.N, "n_offset": n},
-                    verify_durfee_exact(args.N, n),
-                )
+            offsets = range(-3, 4)
+            for n, passed in zip(offsets, verify_durfee_exact(args.N, offsets)):
+                ok &= add("durfee_exact", {"N": args.N, "n_offset": n}, passed)
         if args.identity in ("euler", "all"):
             ok &= add(
                 "euler_exact",
@@ -209,11 +206,7 @@ def cmd_verify(parser, args):
                 ok &= add(
                     "qbinomial_exact", {"m": m}, verify_qbinomial_exact(m)
                 )
-            pascal = all(
-                q_pascal_check(m, k)
-                for m in range(1, args.m + 1)
-                for k in range(0, m + 1)
-            )
+            pascal = all(q_pascal_check(m) for m in range(1, args.m + 1))
             ok &= add("q_pascal", {"m_max": args.m}, pascal)
         if args.identity == "jacobi":
             parser.error("jacobi has no exact mode; drop --exact")
@@ -404,7 +397,10 @@ def build_parser():
     sp.add_argument("--z", type=_finite_arg, default=1.0)
     sp.add_argument("--n-offset", dest="n_offset", type=int, default=0)
     sp.add_argument("--m", type=int, default=12, help="max m for qbinomial")
-    sp.add_argument("--N", type=int, default=25, help="exact-suite size cap")
+    sp.add_argument(
+        "--N", type=int, default=25,
+        help="exact-suite size cap, at most 60; durfee --exact takes about "
+             "0.3 s at 25, 2.6 s at 35 and 6.4 s at 40, and minutes at 60")
     sp.add_argument("--K", type=int, default=6, help="exact euler z-degree")
     sp.add_argument("--tol", type=_finite_arg, default=None)
     common(sp, cmd_verify)

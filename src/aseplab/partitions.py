@@ -114,13 +114,15 @@ class DurfeeDecomposition(NamedTuple):
     def reassemble(self):
         """The partition put back together.  Its parts are not validated
         again: durfee_decompose validated the partition they came from."""
-        side = self.n_offset + self.k
-        parts = [v for r in self.right if (v := r + side) > 0]
+        n_offset, k, right, below = self
+        side = n_offset + k
+        parts = [v for r in right if (v := r + side) > 0]
         # rows past the right partition hold side alone; side 0 rows carry
         # nothing
         if side > 0:
-            parts += [side] * (self.k - len(self.right))
-        return (*parts, *self.below)
+            parts += [side] * (k - len(right))
+        parts += below
+        return tuple(parts)
 
 
 def durfee_decompose(p, n_offset):
@@ -130,9 +132,12 @@ def durfee_decompose(p, n_offset):
     lam_{k+1} <= n_offset+k, reading lam_0 = +inf and lam_i = 0 past the last
     part.
     """
-    lam = as_partition(p)
+    return _decompose_valid(as_partition(p), n_offset)
+
+
+def _decompose_valid(lam, n):
+    """durfee_decompose of lam, a partition as_partition already returned."""
     ell = len(lam)
-    n = n_offset
     k_lo = -n if n < 0 else 0
     # lam_k >= n+k holds on a prefix of k >= k_lo (it holds at k_lo), and
     # lam_{k+1} <= n+k on a suffix (it holds from max(ell, k_lo) on): scan
@@ -146,8 +151,7 @@ def durfee_decompose(p, n_offset):
     assert k == b, f"rectangle index not unique: {k} != {b} for {lam}, n={n}"
     side = n + k
     right = tuple([x - side for x in lam[:k] if x > side])
-    below = lam[k:]
-    return DurfeeDecomposition(n_offset, k, right, below)
+    return DurfeeDecomposition._make((n, k, right, lam[k:]))
 
 
 def count_distinct_exactly_k(n, k):

@@ -239,14 +239,17 @@ def qbinomial_poly(m, k):
     return qbinomial_row(m)[k]
 
 
-def q_pascal_check(m, k):
-    """Exact check of [m k]_q == q^k [m-1 k]_q + [m-1 k-1]_q."""
-    if not (0 <= k <= m) or m < 1:
-        raise ValueError(f"need m >= 1 and 0 <= k <= m, got m={m}, k={k}")
+def q_pascal_check(m):
+    """Exact check of [m k]_q == q^k [m-1 k]_q + [m-1 k-1]_q for every
+    k = 0..m, from one pair of rows."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     prev = qbinomial_row(m - 1)
-    a = prev[k].shift(k) if k <= m - 1 else IntPoly()
-    b = prev[k - 1] if k >= 1 else IntPoly()
-    return qbinomial_row(m)[k] == a + b
+    zero = [IntPoly()]  # [m-1 k]_q at k = m and at k = -1
+    return all(
+        poly == a.shift(k) + b
+        for k, (poly, a, b) in enumerate(
+            zip(qbinomial_row(m), prev + zero, zero + prev)))
 
 
 def pochhammer_inversion(k, q):

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import math
 
 from .partitions import (
+    _decompose_valid,
+    as_partition,
     bounded_counts,
     distinct_bounded_counts,
-    durfee_decompose,
     enumerate_partitions,
     series_bounded_parts,
     series_partition_gf,
@@ -115,33 +116,39 @@ def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
     )
 
 
-def verify_durfee_exact(N, n_offset):
-    """Exact version, two independent ways: every partition of every n <= N
-    reassembles from its rectangle decomposition, and the rectangle sum of
-    integer series reproduces the partition generating function mod q^{N+1}."""
-    n = int(n_offset)
-    k_lo = max(-n, 0)
+def verify_durfee_exact(N, n_offsets):
+    """Exact version, two independent ways, at each offset n of n_offsets:
+    every partition of every size <= N reassembles from its rectangle
+    decomposition at n, and the rectangle sum of integer series reproduces
+    the partition generating function mod q^{N+1}.  One bool per offset, in
+    order.  Each size is enumerated, and each partition validated, once for
+    all offsets."""
+    offsets = [(i, n, max(-n, 0)) for i, n in enumerate(map(int, n_offsets))]
+    ok = [True] * len(offsets)
     for size in range(0, N + 1):
         for lam in enumerate_partitions(size):
-            dec = durfee_decompose(lam, n)
-            if dec.reassemble() != lam:
-                return False
-            if dec.k < k_lo or len(dec.right) > dec.k:
-                return False
-            # below is a tail of lam, so its first part is its largest
-            if dec.below and dec.below[0] > n + dec.k:
-                return False
+            lam = as_partition(lam)
+            for i, n, k_lo in offsets:
+                dec = _decompose_valid(lam, n)
+                _, k, right, below = dec
+                # below is a tail of lam, so its first part is its largest
+                if (dec.reassemble() != lam or k < k_lo or len(right) > k
+                        or below and below[0] > n + k):
+                    ok[i] = False
 
     p = series_partition_gf(N)
-    total = IntPoly()
-    k = max(-n, 0)
-    while k * (n + k) <= N:
-        right = series_bounded_parts(k, N)  # <= k parts, by conjugation
-        below = series_bounded_parts(n + k, N)
-        total = total + (right * below).shift(k * (n + k))
-        k += 1
-    # the factors are exact only up to q^N, so only that prefix is compared
-    return IntPoly(total.coeffs[:N + 1]) == p
+    for i, n, k_lo in offsets:
+        total = IntPoly()
+        k = k_lo
+        while k * (n + k) <= N:
+            right = series_bounded_parts(k, N)  # <= k parts, by conjugation
+            below = series_bounded_parts(n + k, N)
+            total = total + (right * below).shift(k * (n + k))
+            k += 1
+        # the factors are exact only up to q^N, so only that prefix is
+        # compared
+        ok[i] &= IntPoly(total.coeffs[:N + 1]) == p
+    return ok
 
 
 def verify_euler(q, z, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):

@@ -34,6 +34,7 @@ from aseplab.coupling import (
     prob_positions_table,
 )
 from aseplab.partitions import (
+    DurfeeDecomposition,
     as_partition,
     bounded_counts,
     count_bounded,
@@ -97,6 +98,16 @@ def frozen_durfee_decompose(p, n_offset):
     side = n_offset + k
     right = tuple(lam[i] - side for i in range(min(k, ell)) if lam[i] - side > 0)
     return k, right, lam[k:]
+
+
+def frozen_reassemble(dec):
+    """DurfeeDecomposition.reassemble as written before it unpacked the
+    tuple once."""
+    side = dec.n_offset + dec.k
+    parts = [v for r in dec.right if (v := r + side) > 0]
+    if side > 0:
+        parts += [side] * (dec.k - len(dec.right))
+    return (*parts, *dec.below)
 
 
 def frozen_prob_positions(mvec, p, d):
@@ -424,6 +435,17 @@ def test_durfee_decompose_equals_frozen_copy():
                 assert dec.n_offset == n_offset
 
 
+def test_reassemble_equals_frozen_copy_on_any_fields():
+    # hand-built decompositions too: nonpositive right rows, more rows than
+    # k, negative sides and below parts of any size
+    for n_offset, k in itertools.product(range(-3, 4), range(0, 4)):
+        for right in itertools.chain.from_iterable(
+                itertools.product(range(-3, 4), repeat=r) for r in range(4)):
+            for below in ((), (1,), (5, 2, 2), (0, -1)):
+                dec = DurfeeDecomposition(n_offset, k, right, below)
+                assert dec.reassemble() == frozen_reassemble(dec)
+
+
 def test_durfee_decompose_still_validates():
     with pytest.raises(ValueError):
         durfee_decompose((1, 2), 0)
@@ -449,8 +471,8 @@ def test_euler_suite_catches_one_bounded_count_off_by_one(monkeypatch):
 
 
 def test_durfee_suite_catches_one_dropped_below_part(monkeypatch):
-    assert verify.verify_durfee_exact(10, -1)
-    real = verify.durfee_decompose
+    assert verify.verify_durfee_exact(10, [-1]) == [True]
+    real = verify._decompose_valid
     planted = []
 
     def drop_once(lam, n_offset):
@@ -460,8 +482,8 @@ def test_durfee_suite_catches_one_dropped_below_part(monkeypatch):
             return dec._replace(below=dec.below[:-1])
         return dec
 
-    monkeypatch.setattr(verify, "durfee_decompose", drop_once)
-    assert not verify.verify_durfee_exact(10, -1)
+    monkeypatch.setattr(verify, "_decompose_valid", drop_once)
+    assert verify.verify_durfee_exact(10, [-1]) == [False]
     assert planted
 
 
@@ -481,7 +503,7 @@ def test_qbinomial_suite_catches_one_bumped_row_coefficient(monkeypatch):
 
 
 def test_durfee_suite_catches_one_bumped_series_coefficient(monkeypatch):
-    assert verify.verify_durfee_exact(10, 0)
+    assert verify.verify_durfee_exact(10, [0]) == [True]
     real = verify.series_bounded_parts
 
     def bumped(max_size, N):
@@ -493,7 +515,7 @@ def test_durfee_suite_catches_one_bumped_series_coefficient(monkeypatch):
         return series
 
     monkeypatch.setattr(verify, "series_bounded_parts", bumped)
-    assert not verify.verify_durfee_exact(10, 0)
+    assert verify.verify_durfee_exact(10, [0]) == [False]
 
 
 def test_euler_suite_catches_one_bumped_distinct_count(monkeypatch):

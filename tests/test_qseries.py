@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from aseplab import qseries
 from aseplab.qseries import (
     IntPoly,
     TruncationNotConverged,
@@ -161,9 +162,32 @@ def test_qbinomial_poly_symmetry():
 
 
 def test_q_pascal_exact():
+    # each row m = 1..12 is checked at every k = 0..m
     for m in range(1, 13):
-        for k in range(0, m + 1):
-            assert q_pascal_check(m, k)
+        assert q_pascal_check(m)
+
+
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_q_pascal_catches_one_bumped_coefficient_at_every_k(monkeypatch, k):
+    real = qseries.qbinomial_row
+
+    def bumped(m):
+        row = real(m)
+        if m == 7:
+            coeffs = list(row[k].coeffs)
+            coeffs[-1] += 1
+            row[k] = IntPoly(coeffs)
+        return row
+
+    monkeypatch.setattr(qseries, "qbinomial_row", bumped)
+    # row 7 is checked against row 6, and row 8 against row 7
+    assert [q_pascal_check(m) for m in range(1, 10)] == [
+        m not in (7, 8) for m in range(1, 10)]
+
+
+def test_q_pascal_rejects_m_below_1():
+    with pytest.raises(ValueError):
+        q_pascal_check(0)
 
 
 def test_intpoly_arithmetic():

@@ -3,7 +3,14 @@ import re
 
 import pytest
 
-from aseplab.partitions import DurfeeDecomposition, durfee_decompose
+from aseplab import verify
+from aseplab.cli import main
+from aseplab.partitions import (
+    DurfeeDecomposition,
+    _decompose_valid,
+    count_partitions,
+    durfee_decompose,
+)
 from aseplab.qseries import (
     TruncationPolicy,
     pochhammer_finite,
@@ -151,8 +158,7 @@ class TestJacobiNumeric:
 
 class TestExactSuites:
     def test_durfee_exact_offsets(self):
-        for n in range(-3, 4):
-            assert verify_durfee_exact(12, n)
+        assert verify_durfee_exact(12, range(-3, 4)) == [True] * 7
 
     @pytest.mark.parametrize("lam, n", [((3, 3), 0), ((1,), -2)],
                              ids=["below-too-long", "k-below-k_lo"])
@@ -162,17 +168,68 @@ class TestExactSuites:
         # into lam, so only the shape checks can reject it: at (3, 3), n = 0
         # the first part below exceeds the side n + k; at (1,), n = -2 the
         # index k falls under k_lo = 2
-        assert verify_durfee_exact(sum(lam), n)
+        assert verify_durfee_exact(sum(lam), [n]) == [True]
         k = durfee_decompose(lam, n).k - 1
         side = n + k
         wrong = DurfeeDecomposition(
             n, k, tuple(x - side for x in lam[:k] if x > side), lam[k:])
         assert wrong.reassemble() == lam
         monkeypatch.setattr(
-            "aseplab.verify.durfee_decompose",
+            verify, "_decompose_valid",
             lambda lam_, n_: wrong if (lam_, n_) == (lam, n)
-            else durfee_decompose(lam_, n_))
-        assert not verify_durfee_exact(sum(lam), n)
+            else _decompose_valid(lam_, n_))
+        assert verify_durfee_exact(sum(lam), [n]) == [False]
+
+    @staticmethod
+    def _plant_dropped_below_part_at_2(monkeypatch):
+        # every decomposition at offset 2 with a nonempty below loses its
+        # last below part, so it no longer reassembles; other offsets are
+        # untouched
+        def faulty(lam, n):
+            dec = _decompose_valid(lam, n)
+            if n == 2 and dec.below:
+                return dec._replace(below=dec.below[:-1])
+            return dec
+
+        monkeypatch.setattr(verify, "_decompose_valid", faulty)
+
+    def test_durfee_exact_attributes_a_fault_to_its_offset(self, monkeypatch):
+        self._plant_dropped_below_part_at_2(monkeypatch)
+        assert verify_durfee_exact(10, range(-3, 4)) == [
+            n != 2 for n in range(-3, 4)]
+
+    def test_durfee_exact_cli_marks_only_the_faulty_row(self, monkeypatch,
+                                                         capsys):
+        self._plant_dropped_below_part_at_2(monkeypatch)
+        assert main(["verify", "--identity", "durfee", "--exact",
+                     "--N", "10"]) == 1
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [r.split(",")[1] for r in rows] == [
+            f"N=10;n_offset={n}" for n in range(-3, 4)]
+        assert [r.rsplit(",", 1)[1] for r in rows] == [
+            "false" if n == 2 else "true" for n in range(-3, 4)]
+
+    def test_durfee_exact_enumerates_and_validates_once(self, monkeypatch):
+        enumerated, validated, decomposed = [], [], []
+
+        def counted(real, log):
+            def wrapper(*args):
+                log.append(args)
+                return real(*args)
+            return wrapper
+
+        for name, log in (("enumerate_partitions", enumerated),
+                          ("as_partition", validated),
+                          ("_decompose_valid", decomposed)):
+            monkeypatch.setattr(verify, name,
+                                counted(getattr(verify, name), log))
+        N = 12
+        assert verify_durfee_exact(N, range(-3, 4)) == [True] * 7
+        assert enumerated == [(size,) for size in range(N + 1)]
+        total = sum(count_partitions(size) for size in range(N + 1))
+        # each partition once, for all seven offsets
+        assert len(validated) == len(set(validated)) == total
+        assert len(decomposed) == len(set(decomposed)) == 7 * total
 
     def test_euler_exact(self):
         assert verify_euler_exact(12, 4)

@@ -21,7 +21,8 @@ import math
 
 from .partitions import SizeLimit
 from .qseries import (
-    DEFAULT_POLICY,
+    SERIES_EPS,
+    SERIES_MAX_TERMS,
     TruncationNotConverged,
     _check_q,
     log_neg_pochhammer_infinite,
@@ -176,47 +177,51 @@ def sample_blocking(window, p, rng, eps=1e-12):
     return WindowState(lo, hi, bits)
 
 
-def prob_N(n, p, pol=DEFAULT_POLICY):
+def prob_N(n, p):
     """P(N = n) = q^{n(n+1)/2 - nc} / sum_l q^{l(l+1)/2 - lc}."""
-    return prob_N_table((n,), p, pol)[0]
+    return prob_N_table((n,), p)[0]
 
 
-def prob_N_table(ns, p, pol=DEFAULT_POLICY):
-    """[prob_N(n, p, pol) for n in ns], the normalizer summed once.
+def prob_N_table(ns, p):
+    """[prob_N(n, p) for n in ns], the normalizer summed once.
 
-    It is summed symmetrically out from its largest term, which is 1, until
-    terms drop below pol.eps; convergence is super-geometric.
+    Exponents are taken relative to the center l0 = round(c - 1/2): with
+    j = l - l0 the weight of l is q^{j(j+1)/2 + j(l0 - c)} times a factor
+    common to every l, and l0 - c lies in [-1, 0], so no exponent is
+    negative and the largest term is 1, at j = 0, however large |c| is.
+    The normalizer is summed symmetrically out from it until terms drop
+    below SERIES_EPS; convergence is super-geometric.
     """
-
-    def expo(l):
-        return l * (l + 1) / 2.0 - l * p.c
-
     center = round(p.c - 0.5)
-    try:
-        e0 = min(expo(center - 1), expo(center), expo(center + 1))
-    except OverflowError:  # l(l+1) of an int center past the float range
-        raise OverflowError(
-            f"exponent of the N law overflows at q={p.q}, c={p.c}") from None
+    offset = center - p.c
+
+    def weight(l):
+        j = l - center
+        return p.q ** (j * (j + 1) / 2 + j * offset)
+
     total = 0.0
-    for direction in (1, -1):
-        l = center if direction == 1 else center - 1
-        for _ in range(pol.max_terms):
-            term = p.q ** (expo(l) - e0)
+    for l, step in ((center, 1), (center - 1, -1)):
+        for _ in range(SERIES_MAX_TERMS):
+            term = weight(l)
             total += term
-            if term < pol.eps:
+            if term < SERIES_EPS:
                 break
-            l += direction
+            l += step
         else:
             raise TruncationNotConverged("normalizer of the N law")
-    return [p.q ** (expo(n) - e0) / total for n in ns]
+    try:
+        return [weight(n) / total for n in ns]
+    except OverflowError:  # j(j+1)/2 of a row far from c past the float range
+        raise OverflowError(
+            f"exponent of the N law overflows at q={p.q}, c={p.c}") from None
 
 
-def prob_N_at(m, n, p, pol=DEFAULT_POLICY):
+def prob_N_at(m, n, p):
     """P(N rebased at m+1/2 equals n): a left shift by m adds m to N."""
-    return prob_N(n + m, p, pol)
+    return prob_N(n + m, p)
 
 
-def prob_left_particles(m, k, p, pol=DEFAULT_POLICY):
+def prob_left_particles(m, k, p):
     """P(k particles at or left of site m) under the blocking measure:
     q^{k(c-m)+k(k-1)/2} / ((q;q)_k (-q^{c-m};q)_infty)."""
     if k < 0:
@@ -224,7 +229,7 @@ def prob_left_particles(m, k, p, pol=DEFAULT_POLICY):
     lq = math.log(p.q)
     logp = (k * (p.c - m) + k * (k - 1) / 2.0) * lq
     logp -= log_pochhammer_finite(p.q, p.q, k)
-    log_tail, _ = log_neg_pochhammer_infinite(p.c - m, p.q, pol)
+    log_tail, _ = log_neg_pochhammer_infinite(p.c - m, p.q)
     return math.exp(logp - log_tail)
 
 
@@ -246,10 +251,10 @@ def prob_window_particles(m1, m2, k, p):
     return math.exp(logp)
 
 
-def prob_right_holes(m, n, p, pol=DEFAULT_POLICY):
+def prob_right_holes(m, n, p):
     """P(n holes strictly right of site m); equals the left-particle law
     under c -> 2m+1-c by particle-hole symmetry."""
-    return prob_left_particles(m, n, p.with_c(2 * m + 1 - p.c), pol)
+    return prob_left_particles(m, n, p.with_c(2 * m + 1 - p.c))
 
 
 @dataclass(frozen=True)
@@ -266,7 +271,7 @@ class RelationCheck:
         return abs(self.lhs - self.rhs) / scale
 
 
-def shift_relation_checks(p, m, k, pol=DEFAULT_POLICY):
+def shift_relation_checks(p, m, k):
     """Evaluate both sides of the lattice-shift and c-shift relations.
 
     Shifting the lattice left by one step equals raising c by one; stepping
@@ -281,33 +286,33 @@ def shift_relation_checks(p, m, k, pol=DEFAULT_POLICY):
     checks = [
         RelationCheck(
             "particle lattice-shift",
-            prob_left_particles(m, k, p, pol),
-            prob_left_particles(m + 1, k, up, pol),
+            prob_left_particles(m, k, p),
+            prob_left_particles(m + 1, k, up),
         ),
         RelationCheck(
             "hole lattice-shift",
-            prob_right_holes(m, k, p, pol),
-            prob_right_holes(m + 1, k, up, pol),
+            prob_right_holes(m, k, p),
+            prob_right_holes(m + 1, k, up),
         ),
         RelationCheck(
             "N lattice-shift",
-            prob_N_at(m, k, p, pol),
-            prob_N_at(m + 1, k, up, pol),
+            prob_N_at(m, k, p),
+            prob_N_at(m + 1, k, up),
         ),
         RelationCheck(
             "particle c-step",
-            prob_left_particles(m, k, down, pol),
-            q ** (-k) / z_factor * prob_left_particles(m, k, p, pol),
+            prob_left_particles(m, k, down),
+            q ** (-k) / z_factor * prob_left_particles(m, k, p),
         ),
         RelationCheck(
             "hole c-step",
-            prob_right_holes(m, k, down, pol),
-            q ** (k + (m + 1 - c)) * z_factor * prob_right_holes(m, k, p, pol),
+            prob_right_holes(m, k, down),
+            q ** (k + (m + 1 - c)) * z_factor * prob_right_holes(m, k, p),
         ),
         RelationCheck(
             "N c-step",
-            prob_N_at(m, k, down, pol),
-            q ** (k + (m + 1 - c)) * prob_N_at(m, k, p, pol),
+            prob_N_at(m, k, down),
+            q ** (k + (m + 1 - c)) * prob_N_at(m, k, p),
         ),
     ]
     return checks

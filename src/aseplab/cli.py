@@ -33,7 +33,7 @@ from .coupling import (
     run_ensemble,
 )
 from .partitions import ENUMERATION_CAP
-from .qseries import DEFAULT_POLICY, q_pascal_check
+from .qseries import SERIES_EPS, SERIES_MAX_TERMS, q_pascal_check
 from .verify import (
     verify_durfee,
     verify_durfee_exact,
@@ -95,10 +95,7 @@ def _emit(args, meta, header, rows, line=_csv_line):
 def _meta(args, extra=None):
     meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "truncation": {
-            "eps": DEFAULT_POLICY.eps,
-            "max_terms": DEFAULT_POLICY.max_terms,
-        },
+        "truncation": {"eps": SERIES_EPS, "max_terms": SERIES_MAX_TERMS},
     }
     for key in ("q", "c", "d", "seed", "tol"):
         if hasattr(args, key) and getattr(args, key) is not None:

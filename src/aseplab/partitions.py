@@ -3,9 +3,10 @@
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the partition of 0.  Everything here is exact integer arithmetic:
 enumeration (capped), bounded-part counting DPs, Durfee rectangle
-decomposition at an integer offset, generating-function coefficients up to
-q^N as IntPoly, and the bijection sending a finite occupancy window to the
-partition of its total left displacement.
+decomposition at an integer offset, and generating-function coefficients
+up to q^N as IntPoly.  The bijection sending a finite occupancy window to
+the partition of its total left displacement is a test oracle, in
+tests/test_partitions.py.
 """
 
 from typing import NamedTuple

@@ -7,31 +7,22 @@ value.  Exact identity checks go through IntPoly, a minimal arbitrary
 precision integer polynomial in q.
 """
 
-from dataclasses import dataclass
 from itertools import zip_longest
 import math
 import sys
 
 
 class TruncationNotConverged(ValueError):
-    """Raised when an infinite product/sum hits max_terms before reaching eps."""
+    """Raised when an infinite product/sum hits SERIES_MAX_TERMS terms before
+    reaching SERIES_EPS."""
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stopping rule for infinite products/sums."""
-
-    eps: float = 1e-16
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+# The one stop rule of every infinite product and sum in the package, so
+# both sides of an identity truncate alike: stop once what is dropped falls
+# below SERIES_EPS (of the running sum, for a sum), give up after
+# SERIES_MAX_TERMS terms.  A loop reads the binding of its own module.
+SERIES_EPS = 1e-16
+SERIES_MAX_TERMS = 100_000
 
 
 def _check_q(q):
@@ -68,8 +59,8 @@ def log_pochhammer_finite(a, q, n):
     return out
 
 
-def pochhammer_infinite(a, q, pol=DEFAULT_POLICY):
-    """(a;q)_infty with truncation on |a q^i| < pol.eps.
+def pochhammer_infinite(a, q):
+    """(a;q)_infty with truncation on |a q^i| < SERIES_EPS.
 
     Returns (value, bound) where bound is a rigorous relative error bound for
     the dropped tail, from sum_{i>=K} |a| q^i <= |a| q^K / (1-q).
@@ -80,16 +71,16 @@ def pochhammer_infinite(a, q, pol=DEFAULT_POLICY):
         return 1.0, 0.0
     out = 1.0
     t = av
-    for _ in range(pol.max_terms):
-        if abs(t) < pol.eps:
+    for _ in range(SERIES_MAX_TERMS):
+        if abs(t) < SERIES_EPS:
             # |log prod_{i>=K}(1-t_i)| <= sum |t_i|/(1-|t_i|), geometric in i
             s = abs(t) / ((1.0 - qv) * (1.0 - abs(t)))
             return out, math.expm1(s)
         out *= 1.0 - t
         t *= qv
     raise TruncationNotConverged(
-        f"(a;q)_infty with a={av}, q={qv} did not reach eps={pol.eps} "
-        f"in {pol.max_terms} terms"
+        f"(a;q)_infty with a={av}, q={qv} did not reach eps={SERIES_EPS} "
+        f"in {SERIES_MAX_TERMS} terms"
     )
 
 
@@ -101,7 +92,7 @@ def _normal_qq(value, q):
     return value
 
 
-def log_neg_pochhammer_infinite(x, q, pol=DEFAULT_POLICY):
+def log_neg_pochhammer_infinite(x, q):
     """log (-q^x;q)_infty = sum_{i>=0} log(1+q^{x+i}), stable for any real x.
 
     Returns (logvalue, bound); bound is relative on the value, as in
@@ -110,20 +101,20 @@ def log_neg_pochhammer_infinite(x, q, pol=DEFAULT_POLICY):
     qv = _check_q(q)
     lq = math.log(qv)
     out = 0.0
-    for i in range(pol.max_terms):
+    for i in range(SERIES_MAX_TERMS):
         t = (x + i) * lq
         if t > 0:
             # q^{x+i} > 1: log(1+e^t) = t + log1p(e^-t)
             out += t + math.log1p(math.exp(-t))
         else:
             term = math.exp(t)
-            if term < pol.eps:
+            if term < SERIES_EPS:
                 s = term / ((1.0 - qv) * (1.0 - term))
                 return out, math.expm1(s)
             out += math.log1p(term)
     raise TruncationNotConverged(
-        f"(-q^{x};q)_infty with q={qv} did not reach eps={pol.eps} "
-        f"in {pol.max_terms} terms"
+        f"(-q^{x};q)_infty with q={qv} did not reach eps={SERIES_EPS} "
+        f"in {SERIES_MAX_TERMS} terms"
     )
 
 
@@ -260,12 +251,12 @@ def pochhammer_inversion(k, q):
     return lhs, rhs
 
 
-def jacobi_triple_product(z, q, pol=DEFAULT_POLICY):
+def jacobi_triple_product(z, q):
     """Both sides of sum_l q^{l(l+1)/2} z^l = (q;q)_inf (-qz;q)_inf (-1/z;q)_inf.
 
     The sum truncates over a symmetric range in l once both wing terms drop
-    below pol.eps relative to the running sum.  Raises OverflowError, naming
-    the quantity, when the sum or (q;q)_inf leaves the float range.
+    below SERIES_EPS relative to the running sum.  Raises OverflowError,
+    naming the quantity, when the sum or (q;q)_inf leaves the float range.
     """
     if z == 0.0:
         raise ValueError("z must be nonzero")
@@ -273,11 +264,11 @@ def jacobi_triple_product(z, q, pol=DEFAULT_POLICY):
 
     total = 1.0  # l = 0 term
     try:
-        for l in range(1, pol.max_terms):
+        for l in range(1, SERIES_MAX_TERMS):
             t_pos = qv ** (l * (l + 1) / 2) * z ** l
             t_neg = qv ** (l * (l - 1) / 2) * z ** (-l)
             total += t_pos + t_neg
-            bound = pol.eps * max(1.0, abs(total))
+            bound = SERIES_EPS * max(1.0, abs(total))
             if abs(t_pos) < bound and abs(t_neg) < bound:
                 break
         else:
@@ -287,7 +278,7 @@ def jacobi_triple_product(z, q, pol=DEFAULT_POLICY):
     if not math.isfinite(total):
         raise OverflowError(f"theta sum overflows at q={qv}, z={z}")
 
-    p1 = _normal_qq(pochhammer_infinite(qv, qv, pol)[0], qv)
-    p2, _ = pochhammer_infinite(-qv * z, qv, pol)
-    p3, _ = pochhammer_infinite(-1.0 / z, qv, pol)
+    p1 = _normal_qq(pochhammer_infinite(qv, qv)[0], qv)
+    p2, _ = pochhammer_infinite(-qv * z, qv)
+    p3, _ = pochhammer_infinite(-1.0 / z, qv)
     return total, p1 * p2 * p3

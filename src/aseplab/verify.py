@@ -22,7 +22,8 @@ from .partitions import (
     series_partition_gf,
 )
 from .qseries import (
-    DEFAULT_POLICY,
+    SERIES_EPS,
+    SERIES_MAX_TERMS,
     IntPoly,
     TruncationNotConverged,
     _check_q,
@@ -69,33 +70,32 @@ class IdentityReport:
         )
 
 
-def _ratio_sum(term, k, ratio, pol, what):
+def _ratio_sum(term, k, ratio, what):
     """Sum the series whose terms from index k on are term, term * ratio(k),
     term * ratio(k) * ratio(k + 1), ...  Stops once the geometric bound
     |term| r / (1 - r), r = |ratio| < 1, on everything after the current
-    term drops below pol.eps of |sum|; returns (sum, that bound).  Raises
-    TruncationNotConverged, naming `what`, after pol.max_terms ratios."""
+    term drops below SERIES_EPS of |sum|; returns (sum, that bound).  Raises
+    TruncationNotConverged, naming `what`, after SERIES_MAX_TERMS ratios."""
     acc = term
-    for k in range(k, k + pol.max_terms + 1):
+    for k in range(k, k + SERIES_MAX_TERMS + 1):
         r = ratio(k)
         a = abs(r)
         if a < 1.0:
             tail = abs(term) * a / (1.0 - a)
-            if tail < pol.eps * abs(acc):
+            if tail < SERIES_EPS * abs(acc):
                 return acc, tail
         term *= r
         acc += term
     raise TruncationNotConverged(what)
 
 
-def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
+def verify_durfee(q, n_offset=0, tol=DEFAULT_TOL):
     """Rectangle sum against the full partition generating function:
     sum_{k >= max(-n,0)} q^{k(n+k)} / ((q;q)_{n+k} (q;q)_k) = 1/(q;q)_infty."""
     _check_q(q)
     n = int(n_offset)
-    denom, dbound = pochhammer_infinite(q, q, pol)
-    if denom == 0.0:  # 0 is named at once, a subnormal once the sum converges
-        _normal_qq(denom, q)
+    denom, dbound = pochhammer_infinite(q, q)
+    denom = _normal_qq(denom, q)
 
     k = max(-n, 0)
     term = q ** (k * (n + k)) / (
@@ -105,11 +105,11 @@ def verify_durfee(q, n_offset=0, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
         term, k,
         lambda k: q ** (n + 2 * k + 1) / (
             (1.0 - q ** (n + k + 1)) * (1.0 - q ** (k + 1))),
-        pol, f"rectangle sum at q={q}, n={n}")
+        f"rectangle sum at q={q}, n={n}")
     return IdentityReport(
         name="durfee",
         params={"q": q, "n_offset": n},
-        lhs=1.0 / _normal_qq(denom, q),
+        lhs=1.0 / denom,
         rhs=acc,
         tol=tol,
         trunc_bound=dbound + tail / acc,
@@ -151,13 +151,13 @@ def verify_durfee_exact(N, n_offsets):
     return ok
 
 
-def verify_euler(q, z, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
+def verify_euler(q, z, tol=DEFAULT_TOL):
     """prod_{i>=0} (1 + z q^i) = sum_k z^k q^{k(k-1)/2} / (q;q)_k."""
     _check_q(q)
-    lhs, lbound = pochhammer_infinite(-z, q, pol)
+    lhs, lbound = pochhammer_infinite(-z, q)
 
     acc, tail = _ratio_sum(1.0, 0, lambda k: z * q**k / (1.0 - q ** (k + 1)),
-                           pol, f"euler sum at q={q}, z={z}")
+                           f"euler sum at q={q}, z={z}")
     return IdentityReport(
         name="euler",
         params={"q": q, "z": z},
@@ -255,9 +255,9 @@ def verify_qbinomial_exact(m):
     return True
 
 
-def verify_jacobi(q, z, pol=DEFAULT_POLICY, tol=DEFAULT_TOL):
+def verify_jacobi(q, z, tol=DEFAULT_TOL):
     """Two-sided theta sum against its triple product."""
-    lhs, rhs = jacobi_triple_product(z, q, pol)
+    lhs, rhs = jacobi_triple_product(z, q)
     return IdentityReport(
         name="jacobi",
         params={"q": q, "z": z},

@@ -6,11 +6,13 @@ convolution DP for the left-particle law, and full pattern enumeration for
 windows.
 """
 
+from decimal import Decimal, localcontext
 import math
 
 import numpy as np
 import pytest
 
+from aseplab import blocking
 from aseplab.blocking import (
     AsepParams,
     CountDist,
@@ -31,7 +33,6 @@ from aseplab.blocking import (
 from aseplab.partitions import SizeLimit
 from aseplab.qseries import (
     TruncationNotConverged,
-    TruncationPolicy,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -217,27 +218,28 @@ def test_prob_N_zero_against_direct_sum():
     np.testing.assert_allclose(prob_N(0, p), 1.0 / norm, rtol=1e-12)
 
 
-def frozen_prob_N(n, p, max_terms=100_000):
-    """prob_N as it was when its normalizer stopped on terms below 1e-18
-    rather than on the policy's eps."""
+def frozen_prob_N(n, p, eps=1e-18, max_terms=100_000):
+    """prob_N with its own normalizer loop, stopping on terms below eps
+    (by default two orders below SERIES_EPS), the exponents taken relative
+    to the center as in prob_N_table."""
+    center = round(p.c - 0.5)
 
     def expo(l):
-        return l * (l + 1) / 2.0 - l * p.c
+        j = l - center
+        return j * (j + 1) / 2 + j * (center - p.c)
 
-    center = round(p.c - 0.5)
-    e0 = min(expo(center - 1), expo(center), expo(center + 1))
     total = 0.0
     for direction in (1, -1):
         l = center if direction == 1 else center - 1
         for _ in range(max_terms):
-            term = p.q ** (expo(l) - e0)
+            term = p.q ** expo(l)
             total += term
-            if term < 1e-18:
+            if term < eps:
                 break
             l += direction
         else:
             raise TruncationNotConverged("normalizer of the N law")
-    return p.q ** (expo(n) - e0) / total
+    return p.q ** expo(n) / total
 
 
 def test_prob_N_default_policy_matches_frozen_threshold():
@@ -258,18 +260,61 @@ def test_prob_N_table_sums_the_normalizer_once():
         assert prob_N_table(ns, p) == [frozen_prob_N(n, p) for n in ns]
 
 
-def test_prob_N_stops_on_policy_eps():
+def decimal_prob_N_table(ns, q, c):
+    """prob_N_table from the float inputs q and c in 60-digit decimal
+    arithmetic, the normalizer summed until its terms fall below 1e-75."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        center = round(c - 0.5)  # any integer center gives the same law
+        offset = center - Decimal(c)
+        lq = Decimal(q).ln()
+
+        def weight(l):
+            j = l - center
+            return ((j * (j + 1) // 2 + j * offset) * lq).exp()
+
+        total = Decimal(0)
+        for l, step in ((center, 1), (center - 1, -1)):
+            while True:
+                term = weight(l)
+                total += term
+                if term < Decimal("1e-75"):
+                    break
+                l += step
+        return [weight(n) / total for n in ns]
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+def test_prob_N_within_25_ulp_of_decimal_reference(q):
+    # 13 rows around each c; the worst cell measured 23.7 ulp (q = 0.1,
+    # c = -3.3), where ln q magnifies the rounding of the exponent.  Taken
+    # in absolute terms, l(l+1)/2 - lc cancels and the law loses every
+    # digit at large |c|.
+    for c in (0.37, -3.3, 17.25, -40.5, 1000.1, -12345.678, 1e6 + 0.37,
+              2.0**30 + 0.375, -1e8 + 0.37, 1e8 + 0.37):
+        ns = range(round(c) - 6, round(c) + 7)
+        got = prob_N_table(ns, AsepParams(q, c))
+        for n, g, want in zip(ns, got, decimal_prob_N_table(ns, q, c)):
+            ulp = Decimal(math.ulp(float(want)))
+            assert abs(Decimal(g) - want) <= 25 * ulp, (c, n)
+
+
+def test_prob_N_stops_on_policy_eps(monkeypatch):
     p = AsepParams(0.9, 0.37)
-    loose = prob_N(0, p, TruncationPolicy(eps=1e-3))
-    assert loose != prob_N(0, p)
+    tight = prob_N(0, p)
+    monkeypatch.setattr(blocking, "SERIES_EPS", 1e-3)
+    loose = prob_N(0, p)
+    assert loose != tight
     # dropping terms below 1e-3 of the largest one makes the normalizer
     # smaller, so the probability larger
-    assert prob_N(0, p) < loose < prob_N(0, p) * (1 + 1e-2)
+    assert tight < loose < tight * (1 + 1e-2)
+    assert loose == frozen_prob_N(0, p, eps=1e-3)
 
 
-def test_prob_N_normalizer_not_converged():
+def test_prob_N_normalizer_not_converged(monkeypatch):
+    monkeypatch.setattr(blocking, "SERIES_MAX_TERMS", 5)
     with pytest.raises(TruncationNotConverged, match="normalizer of the N law"):
-        prob_N(0, AsepParams(0.99, 0.0), TruncationPolicy(max_terms=5))
+        prob_N(0, AsepParams(0.99, 0.0))
 
 
 def test_prob_N_at_shifts():

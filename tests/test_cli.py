@@ -75,8 +75,9 @@ class TestVerifyCommand:
     def test_underflowing_partition_product_is_input_error(self, identity,
                                                             capsys):
         # (q;q)_infty underflows to 0 at q = 0.999 and is subnormal at
-        # q = 0.9977, where the rectangle sum still converges (to inf)
-        for q in ("0.9977", "0.999"):
+        # q = 0.9977, where the rectangle sum still converges (to inf), and
+        # at q = 0.998, where it does not: the product is named first
+        for q in ("0.9977", "0.998", "0.999"):
             code = main(["verify", "--identity", identity, "--q", q])
             assert code == 2
             out, err = capsys.readouterr()
@@ -102,7 +103,6 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "identity,q,message",
         [
-            ("durfee", "0.998", "error: rectangle sum at q=0.998, n=0\n"),
             ("euler", "0.999", "error: euler sum at q=0.999, z=1.0\n"),
         ],
     )
@@ -270,6 +270,19 @@ class TestDistCommand:
         out, err = capsys.readouterr()
         assert out == ""  # no partial table before the error
         assert err.startswith("error: ") and "did not reach" in err
+
+    @pytest.mark.parametrize("k", [10, 30, 40])
+    @pytest.mark.parametrize("q", ["0.1", "0.5", "0.9"])
+    def test_N_law_is_shift_invariant(self, q, k, tmp_path):
+        # at dyadic c, shifting c and the rows by 2^k is exact, so every
+        # value column must keep its bits; only the keys move
+        def values(shift):
+            _, _, lines = run_csv(
+                ["dist", "--law", "N", "--q", q, "--c", str(0.375 + shift),
+                 f"--n={shift - 12}:{shift + 12}"], tmp_path)
+            return [line.split(",")[1:] for line in lines[1:]]
+
+        assert values(2**k) == values(0)
 
     def test_overflow_is_input_error(self, capsys):
         code = main(["dist", "--law", "N", "--q", "0.5", "--c", "1e300"])
@@ -581,19 +594,32 @@ class TestUsage:
         assert "invalid" not in err and not re.search(r"\b_\w", err)
 
 
-# A fresh interpreter imports aseplab.cli from the package's own source tree,
-# runs every command of its first list, notes whether numpy is loaded, then
-# runs the second list.
+# A fresh interpreter imports aseplab.cli from the package's own source tree
+# and notes which aseplab modules it loaded and whether numpy is loaded, runs
+# every command of its first list, notes numpy again, then runs the second
+# list.
 STARTUP_CHILD = """
 import json, sys
 src, before, after = json.loads(sys.argv[1])
 sys.path.insert(0, src)
 import aseplab.cli as cli
+imported = sorted(m for m in sys.modules if m.startswith("aseplab."))
+at_import = "numpy" in sys.modules
 rcs = [cli.main(argv) for argv in before]
 loaded = "numpy" in sys.modules
 rcs += [cli.main(argv) for argv in after]
-print(json.dumps([rcs, loaded, "numpy" in sys.modules]))
+print(json.dumps([imported, at_import, rcs, loaded, "numpy" in sys.modules]))
 """
+
+
+def run_startup_child(before, after):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aseplab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", STARTUP_CHILD,
+         json.dumps([src, before, after])],
+        capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
 
 DIST_LAWS = [
     ["--law", "N", "--q", "0.5"],
@@ -608,7 +634,6 @@ DIST_LAWS = [
 
 def test_verify_and_dist_run_without_numpy():
     """verify and dist need the standard library only; simulate loads numpy."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(aseplab.__file__)))
     out = ["--out", os.devnull]
     before = [
         ["verify", "--identity", "all", "--exact", "--N", "8", "--m", "4"] + out,
@@ -619,11 +644,16 @@ def test_verify_and_dist_run_without_numpy():
     ]
     after = [["simulate", "--q", "0.5", "--window=-25:25", "--replicas", "2",
               "--T", "1"] + out]
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP_CHILD,
-         json.dumps([src, before, after])],
-        capture_output=True, text=True, timeout=120, check=True)
-    rcs, loaded, loaded_after = json.loads(proc.stdout)
+    _, _, rcs, loaded, loaded_after = run_startup_child(before, after)
     assert rcs == [0] * (len(before) - 1) + [2, 0]
     assert not loaded, "numpy was imported by verify or dist"
     assert loaded_after, "simulate ran without numpy"
+
+
+def test_import_loads_every_traced_layer_without_numpy():
+    # the benchmark's tracer wraps these modules straight from sys.modules
+    # once aseplab.cli is imported, so none of them may be imported lazily
+    imported, at_import, _, _, _ = run_startup_child([], [])
+    layers = ["qseries", "partitions", "blocking", "coupling", "verify", "cli"]
+    assert set(imported) >= {f"aseplab.{m}" for m in layers}
+    assert not at_import, "importing aseplab.cli loaded numpy"

@@ -44,10 +44,8 @@ from aseplab.partitions import (
     enumerate_partitions,
 )
 from aseplab.qseries import (
-    DEFAULT_POLICY,
     IntPoly,
     TruncationNotConverged,
-    TruncationPolicy,
     log_qbinomial,
     pochhammer_finite,
     pochhammer_infinite,
@@ -150,9 +148,9 @@ def frozen_marginal(i, z, p):
     return math.exp(-math.log1p(math.exp(t)))
 
 
-def frozen_durfee(q, n, pol=DEFAULT_POLICY):
-    """(lhs, rhs, trunc_bound) of verify_durfee from its own ratio loop; pol
-    sets only the loop's length."""
+def frozen_durfee(q, n, eps=1e-16, max_terms=100_000):
+    """(lhs, rhs, trunc_bound) of verify_durfee from its own ratio loop;
+    eps and max_terms set only the loop's stop rule."""
     denom, dbound = pochhammer_infinite(q, q)
     lhs = 1.0 / denom
     k = max(-n, 0)
@@ -165,34 +163,34 @@ def frozen_durfee(q, n, pol=DEFAULT_POLICY):
         r = q ** (n + 2 * k + 1) / (
             (1.0 - q ** (n + k + 1)) * (1.0 - q ** (k + 1))
         )
-        if r < 1.0 and term * r / (1.0 - r) < 1e-16 * acc:
+        if r < 1.0 and term * r / (1.0 - r) < eps * acc:
             tail = term * r / (1.0 - r)
             break
         term *= r
         acc += term
         k += 1
-        if k - k0 > pol.max_terms:
+        if k - k0 > max_terms:
             raise TruncationNotConverged(f"rectangle sum at q={q}, n={n}")
     return lhs, acc, dbound + tail / acc
 
 
-def frozen_euler(q, z, pol=DEFAULT_POLICY):
+def frozen_euler(q, z, eps=1e-16, max_terms=100_000):
     """(lhs, rhs, trunc_bound) of verify_euler from its own ratio loop, whose
-    stop test reads abs(z) where the term update reads z; pol sets only the
-    loop's length."""
+    stop test reads abs(z) where the term update reads z; eps and max_terms
+    set only the loop's stop rule."""
     lhs, lbound = pochhammer_infinite(-z, q)
     term = 1.0
     acc = 1.0
     k = 0
     while True:
         r = abs(z) * q**k / (1.0 - q ** (k + 1))
-        if r < 1.0 and abs(term) * r / (1.0 - r) < 1e-16 * abs(acc):
+        if r < 1.0 and abs(term) * r / (1.0 - r) < eps * abs(acc):
             tail = abs(term) * r / (1.0 - r)
             break
         term *= z * q**k / (1.0 - q ** (k + 1))
         acc += term
         k += 1
-        if k > pol.max_terms:
+        if k > max_terms:
             raise TruncationNotConverged(f"euler sum at q={q}, z={z}")
     return lhs, acc, lbound + tail / max(abs(acc), 1e-300)
 
@@ -252,30 +250,29 @@ def test_euler_equals_frozen_ratio_loop(q, z):
 @pytest.mark.parametrize(
     "identity",
     [
-        (lambda pol: verify.verify_durfee(0.5, -2, pol),
-         lambda pol: frozen_durfee(0.5, -2, pol)),
-        (lambda pol: verify.verify_euler(0.5, -1.7, pol),
-         lambda pol: frozen_euler(0.5, -1.7, pol)),
+        (lambda: verify.verify_durfee(0.5, -2),
+         lambda max_terms: frozen_durfee(0.5, -2, max_terms=max_terms)),
+        (lambda: verify.verify_euler(0.5, -1.7),
+         lambda max_terms: frozen_euler(0.5, -1.7, max_terms=max_terms)),
     ],
     ids=["durfee", "euler"],
 )
 def test_ratio_sum_gives_up_after_the_same_term(identity, monkeypatch):
-    # each policy either stops both sums at the same value or fails both;
-    # the products, which need more terms than the sums, keep the default
-    monkeypatch.setattr(verify, "pochhammer_infinite",
-                        lambda a, q, pol: pochhammer_infinite(a, q))
+    # each max_terms either stops both sums at the same value or fails both;
+    # the products, which need more terms than the sums, read qseries's
+    # constants and keep the default
     new, old = identity
     outcomes = set()
     for max_terms in range(1, 40):
-        pol = TruncationPolicy(max_terms=max_terms)
+        monkeypatch.setattr(verify, "SERIES_MAX_TERMS", max_terms)
         try:
-            want = old(pol)
+            want = old(max_terms)
         except TruncationNotConverged as e:
             with pytest.raises(TruncationNotConverged, match=re.escape(str(e))):
-                new(pol)
+                new()
             outcomes.add("raised")
             continue
-        r = new(pol)
+        r = new()
         assert (r.lhs, r.rhs, r.trunc_bound) == want
         outcomes.add("stopped")
     assert outcomes == {"raised", "stopped"}

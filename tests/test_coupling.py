@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from aseplab import coupling
 from aseplab.blocking import (
     AsepParams,
     WindowState,
@@ -590,6 +591,30 @@ class TestSimulation:
             assert mean.tolist() == [1.0] * 6 and sem is None
         assert reps[1].event_log == []
         assert reps[0].meta() == reps[1].meta()
+
+    @pytest.mark.parametrize("lo,hi", [(-6, 5), (3, 9), (-9, -2), (0, 0)])
+    def test_removed_particles_raise_N_by_their_count(self, lo, hi):
+        # the identity N_violations counts by: clearing any set of occupied
+        # sites, on either side of 0, raises N by the number cleared
+        rng = np.random.default_rng(lo + 100)
+        for _ in range(40):
+            xi = (rng.random(hi - lo + 1) < 0.5).astype(np.uint8)
+            eta = xi & (rng.random(hi - lo + 1) < 0.5)
+            gained = (WindowState(lo, hi, eta).conserved_N()
+                      - WindowState(lo, hi, xi).conserved_N())
+            assert gained == int(xi.sum()) - int(eta.sum())
+
+    def test_label_on_an_empty_site_counts_its_probes(self, monkeypatch):
+        # the one label is pointed at site 0 whether or not a particle sits
+        # there; a probe that saw site 0 empty removes no particle, so it,
+        # and only it, violates N(eta) - N(xi) = d
+        monkeypatch.setattr(coupling, "second_class_positions", lambda s: (0,))
+        p = AsepParams(q=0.5, c=0.0)
+        rep = simulate_stationary(p, 1, (-20, 20), 20.0, np.random.default_rng(2),
+                                  probes=40, eps=1e-4)
+        empty = round((1.0 - rep.xi_rows[0][20]) * rep.total_probes)
+        assert 0 < empty < rep.total_probes
+        assert rep.N_violations == empty
 
     @pytest.mark.parametrize("name", list(OTHER_LAYOUT))
     def test_merge_layout_mismatch(self, name):

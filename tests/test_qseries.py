@@ -15,7 +15,6 @@ from aseplab import qseries
 from aseplab.qseries import (
     IntPoly,
     TruncationNotConverged,
-    TruncationPolicy,
     jacobi_triple_product,
     log_neg_pochhammer_infinite,
     log_qbinomial,
@@ -95,19 +94,25 @@ def test_pochhammer_infinite_split_factor():
     np.testing.assert_allclose(got, 2.0 * tail, rtol=1e-13)
 
 
-def test_pochhammer_infinite_tail_bound_honest():
-    # with a loose policy the value differs from a tight one by less than
-    # the reported bound
-    loose = TruncationPolicy(eps=1e-6, max_terms=10_000)
-    v_loose, b_loose = pochhammer_infinite(0.7, 0.5, loose)
+def test_pochhammer_infinite_tail_bound_honest(monkeypatch):
+    # with a loose eps both products stop early, and each value differs
+    # from the tight one by less than its reported bound
     v_tight, _ = pochhammer_infinite(0.7, 0.5)
+    lv_tight, _ = log_neg_pochhammer_infinite(-1.7, 0.5)
+    monkeypatch.setattr(qseries, "SERIES_EPS", 1e-6)
+    v_loose, b_loose = pochhammer_infinite(0.7, 0.5)
+    lv_loose, lb_loose = log_neg_pochhammer_infinite(-1.7, 0.5)
+    assert v_loose != v_tight and lv_loose != lv_tight
     assert abs(v_loose - v_tight) <= b_loose * abs(v_tight)
+    assert (abs(math.exp(lv_loose) - math.exp(lv_tight))
+            <= lb_loose * math.exp(lv_tight))
 
 
-def test_pochhammer_infinite_not_converged():
-    pol = TruncationPolicy(eps=1e-30, max_terms=3)
+def test_pochhammer_infinite_not_converged(monkeypatch):
+    monkeypatch.setattr(qseries, "SERIES_EPS", 1e-30)
+    monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 3)
     with pytest.raises(TruncationNotConverged):
-        pochhammer_infinite(0.5, 0.99, pol)
+        pochhammer_infinite(0.5, 0.99)
 
 
 def test_log_neg_pochhammer_infinite_consistent():
@@ -247,9 +252,10 @@ def test_jacobi_triple_product_points():
         np.testing.assert_allclose(s, p, rtol=1e-11)
 
 
-def test_jacobi_theta_sum_not_converged():
+def test_jacobi_theta_sum_not_converged(monkeypatch):
+    monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 3)
     with pytest.raises(TruncationNotConverged, match="triple product sum"):
-        jacobi_triple_product(1.0, 0.9, TruncationPolicy(max_terms=3))
+        jacobi_triple_product(1.0, 0.9)
 
 
 def test_jacobi_triple_product_rejects_zero():

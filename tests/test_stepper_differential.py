@@ -23,7 +23,6 @@ from aseplab.coupling import (
     LabelOutOfRange,
     SimulationReport,
     Transition,
-    _conserved_N_rows,
     apply_transition,
     as_labels,
     choose_transition,
@@ -344,9 +343,3 @@ def test_construction_copies_the_window():
     assert s.xi.bits.tolist() == [0, 1, 0, 1, 1, 0, 1, 1]
     assert_consistent(s)
 
-
-@pytest.mark.parametrize("lo,hi", [(-6, 5), (3, 9), (-9, -2), (0, 0)])
-def test_conserved_N_rows_matches_window_state(lo, hi):
-    rows = (np.random.default_rng(lo + 100).random((40, hi - lo + 1)) < 0.5).astype(np.uint8)
-    want = [WindowState(lo, hi, row).conserved_N() for row in rows]
-    assert _conserved_N_rows(rows, lo, hi).tolist() == want

@@ -11,11 +11,7 @@ from aseplab.partitions import (
     count_partitions,
     durfee_decompose,
 )
-from aseplab.qseries import (
-    TruncationPolicy,
-    pochhammer_finite,
-    pochhammer_infinite,
-)
+from aseplab.qseries import pochhammer_finite, pochhammer_infinite
 from aseplab.verify import (
     IdentityReport,
     verify_durfee,
@@ -108,11 +104,13 @@ class TestEulerNumeric:
     def test_grid(self, q):
         assert verify_euler(q, 0.7).passed
 
-    def test_loose_policy_loosens_the_sum_side(self):
-        # the ratio sum stops on the policy's eps, like the product side
+    def test_loose_policy_loosens_the_sum_side(self, monkeypatch):
+        # the ratio sum stops on verify's SERIES_EPS; the product side
+        # reads its own, which stays tight
         tight = verify_euler(0.5, 1.7)
-        loose = verify_euler(0.5, 1.7, pol=TruncationPolicy(eps=1e-5))
-        assert loose.rhs != tight.rhs
+        monkeypatch.setattr(verify, "SERIES_EPS", 1e-5)
+        loose = verify_euler(0.5, 1.7)
+        assert loose.rhs != tight.rhs and loose.lhs == tight.lhs
         assert loose.passed
 
 

@@ -75,14 +75,22 @@ class TestVerifyCommand:
     def test_underflowing_partition_product_is_input_error(self, identity,
                                                             capsys):
         # (q;q)_infty underflows to 0 at q = 0.999 and is subnormal at
-        # q = 0.9977, where the rectangle sum still converges (to inf), and
-        # at q = 0.998, where it does not: the product is named first
-        for q in ("0.9977", "0.998", "0.999"):
+        # q = 0.9977, where the rectangle sum still converges (to inf)
+        for q in ("0.9977", "0.999"):
             code = main(["verify", "--identity", identity, "--q", q])
             assert code == 2
             out, err = capsys.readouterr()
             assert out == "" and "Traceback" not in err
             assert err.startswith("error: ") and "(q;q)_infty" in err
+
+    @pytest.mark.parametrize("identity", ["durfee", "all"])
+    def test_subnormal_partition_product_is_named_before_the_sum(
+            self, identity, capsys):
+        # at q = 0.998 (q;q)_infty is subnormal and the rectangle sum does
+        # not converge either: the product is named, as jacobi names it
+        assert main(["verify", "--identity", identity, "--q", "0.998"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: (q;q)_infty underflows at q=0.998\n")
 
     @pytest.mark.parametrize(
         "args,message",

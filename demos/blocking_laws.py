@@ -7,13 +7,10 @@ and the particle-count laws for half-infinite and windowed stretches, each
 cross-checked against an independent route.
 """
 
-import numpy as np
-
 from aseplab.blocking import (
     AsepParams,
     brute_force_window_law,
     marginal,
-    occupation_profile,
     prob_N,
     prob_left_particles,
     prob_right_holes,
@@ -23,8 +20,8 @@ from aseplab.blocking import (
 
 p = AsepParams(q=0.5, c=0.0)
 
-sites = np.arange(-6, 7)
-occ = occupation_profile(sites, p)
+sites = range(-6, 7)
+occ = [marginal(i, 1, p) for i in sites]
 print("site      " + " ".join(f"{s:6d}" for s in sites))
 print("P(occ)    " + " ".join(f"{v:6.4f}" for v in occ))
 

@@ -12,7 +12,7 @@ printed is compared against a closed form.
 
 import numpy as np
 
-from aseplab.blocking import AsepParams, marginal, occupation_profile
+from aseplab.blocking import AsepParams, marginal
 from aseplab.coupling import (
     prob_positions,
     prob_second_class_at,
@@ -36,16 +36,19 @@ def main():
         floor = np.sqrt(target * (1.0 - target) / rep.total_probes)
         return np.abs((mean - target) / np.maximum(sem, floor + 1e-12)).max()
 
+    def profile(law):
+        return np.array([marginal(int(i), 1, law) for i in rep.sites])
+
     # two-species occupancies against the blocking profile at c
     mean, sem = rep.xi_site_stats()
-    target = occupation_profile(rep.sites, p)
+    target = profile(p)
     print(f"xi site marginals: worst |z| {worst_z(mean, sem, target):.2f} "
           f"over {len(mean)} sites")
 
     # removing the tagged particle shifts the interface one step left,
     # i.e. the first class config follows the blocking measure at c + d
     mean_e, sem_e = rep.eta_site_stats()
-    target_e = occupation_profile(rep.sites, AsepParams(q=p.q, c=p.c + d))
+    target_e = profile(AsepParams(q=p.q, c=p.c + d))
     print(f"eta site marginals vs c+{d} profile: worst |z| "
           f"{worst_z(mean_e, sem_e, target_e):.2f}")
 

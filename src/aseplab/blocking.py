@@ -68,17 +68,6 @@ def marginal(i, z, p):
     return math.exp(-_log1p_qpow(x, math.log(p.q)))
 
 
-def occupation_profile(sites, p):
-    """Vector of marginal(i, 1, p) over an integer array of sites."""
-    import numpy as np
-    t = (np.asarray(sites, dtype=float) - p.c) * math.log(p.q)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = np.exp(-t[pos]) / (1.0 + np.exp(-t[pos]))
-    out[~pos] = 1.0 / (1.0 + np.exp(t[~pos]))
-    return out
-
-
 @dataclass
 class WindowState:
     """Occupancies on [lo, hi] with the frozen outside convention:
@@ -158,7 +147,8 @@ class CountDist:
 
 
 def sample_blocking(window, p, rng, eps=1e-12):
-    """Exact product sample of the blocking measure restricted to a window.
+    """Exact product sample of the blocking measure restricted to a window:
+    site i is filled iff its uniform draw lies below marginal(i, 1, p).
 
     Requires the boundary sites to already be frozen to ground state within
     eps, so the cut bias is quantifiable.
@@ -172,7 +162,7 @@ def sample_blocking(window, p, rng, eps=1e-12):
             f"window [{lo},{hi}] boundary marginals deviate by more than "
             f"eps={eps} from the frozen outside values (c={p.c}, q={p.q})"
         )
-    probs = occupation_profile(np.arange(lo, hi + 1), p)
+    probs = np.array([marginal(i, 1, p) for i in range(lo, hi + 1)])
     bits = (rng.random(hi - lo + 1) < probs).astype(np.uint8)
     return WindowState(lo, hi, bits)
 

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -84,12 +85,14 @@ def _emit(args, meta, header, rows, line=_csv_line):
             [f"# {json.dumps(meta, sort_keys=True)}\n{','.join(header)}\n"],
             map(line, rows),
         )
-    try:  # the opening only: a failed write (a closed pipe) is no input error
+    try:  # the opening only: a failed write is no input error, and a closed
+        # pipe reaches main, which ends the command quietly
         out = open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout)
     except OSError as e:
         raise ValueError(f"cannot open --out: {e}") from None
     with out as fh:
         fh.writelines(lines)
+        fh.flush()  # the last buffered lines too fail here, not at exit
 
 
 def _meta(args, extra=None):
@@ -455,6 +458,11 @@ def main(argv=None):
         return args.handler(args.parser, args)
     except SystemExit as e:  # usage errors, in parsing or in a handler
         return int(e.code or 0)
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # the rest goes to devnull, so the exit flush cannot raise again;
+        # 141 is what a shell reports for a writer that SIGPIPE stopped
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OverflowError) as e:  # bad input, or out of float range
         print(f"error: {e}", file=sys.stderr)
         return 2

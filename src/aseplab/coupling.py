@@ -330,13 +330,12 @@ def prob_second_class_at(m, p, d):
     return math.exp(logv)
 
 
-def prob_positions(m, p, d=None):
-    """Joint law of the d second-class positions (Thm of the d-label chain):
-    prod_i (1-q^i) * q^{dc - sum m_j} / prod_j (1+q^{c+d-j-m_j})(1+q^{c+d+1-j-m_j})."""
+def prob_positions(m, p):
+    """Joint law of the d = len(m) second-class positions (Thm of the d-label
+    chain): prod_i (1-q^i) * q^{dc - sum m_j} / prod_j (1+q^{c+d-j-m_j})(1+q^{c+d+1-j-m_j})."""
     mvec = tuple(int(v) for v in m)
-    if d is None:
-        d = len(mvec)
-    if d != len(mvec) or d < 1:
+    d = len(mvec)
+    if d < 1:
         raise ValueError("m must have length d >= 1")
     if any(b <= a for a, b in zip(mvec, mvec[1:])):
         raise ValueError("positions must be strictly increasing")
@@ -345,7 +344,7 @@ def prob_positions(m, p, d=None):
 
 
 def prob_positions_table(sites, p, d):
-    """(m, prob_positions(m, p, d)) for every increasing d-tuple m of the
+    """(m, prob_positions(m, p)) for every increasing d-tuple m of the
     increasing int sites, in itertools.combinations order.
 
     The log terms of each (slot, site) pair are computed once, and the log

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .qseries import IntPoly
 
 
-class SizeLimit(Exception):
+class SizeLimit(ValueError):
     """Raised when an exhaustive computation is asked beyond its cap."""
 
 

@@ -20,7 +20,6 @@ from aseplab.blocking import (
     WindowTooNarrow,
     brute_force_window_law,
     marginal,
-    occupation_profile,
     prob_N,
     prob_N_at,
     prob_N_table,
@@ -30,7 +29,7 @@ from aseplab.blocking import (
     sample_blocking,
     shift_relation_checks,
 )
-from aseplab.partitions import SizeLimit
+from aseplab.partitions import SizeLimit, enumerate_partitions
 from aseplab.qseries import (
     TruncationNotConverged,
     pochhammer_finite,
@@ -68,12 +67,27 @@ def test_marginal_pair_sums_to_one():
                 )
 
 
-def test_occupation_profile_matches_scalar():
-    p = AsepParams(0.7, -1.3)
-    sites = np.arange(-50, 51)
-    prof = occupation_profile(sites, p)
-    for i, v in zip(sites, prof):
-        assert v == pytest.approx(marginal(int(i), 1, p), rel=1e-14)
+def test_marginal_within_its_budget_of_decimal_reference():
+    # 1/(1 + q^(i-c)) from the float inputs in 60-digit decimal, q^(-c)
+    # taken once per (q, c).  The error grows with u = (i-c) log q, since
+    # exp(u) magnifies the rounding of log q by |u|: measured, it stays
+    # within 2 (1 + |u|) ulp on every cell (worst ratio 1.95 at q = 0.3,
+    # c = -20.3, site -56), and the worst absolute error, 209 ulp, sits at
+    # q = 0.05, c = 10.1, site -55, where |u| = 195 and the value is 2e-85
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for q in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+            dq = Decimal(q)
+            for c in (0.0, 0.25, -0.5, 0.37, -3.7, 1.5, 10.1, -20.3):
+                p = AsepParams(q, c)
+                scale = (-Decimal(c) * dq.ln()).exp()
+                for i in range(-60, 61):
+                    want = 1 / (1 + dq**i * scale)
+                    got = marginal(i, 1, p)
+                    budget = 2 * (1 + abs((i - c) * math.log(q)))
+                    ulp = Decimal(math.ulp(float(want)))
+                    assert abs(Decimal(got) - want) <= Decimal(budget) * ulp, (
+                        q, c, i)
 
 
 def test_window_state_conserved_N():
@@ -147,12 +161,13 @@ class UniformStub:
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("c", [0.0, 0.37, -2.5])
 def test_sample_blocking_occupies_exactly_below_its_threshold(q, c):
-    # site i is occupied iff its draw r_i < occupation_profile(i): a draw at
-    # the threshold leaves the site empty, one ulp below fills it
+    # site i is occupied iff its draw r_i < marginal(i, 1, p), the law every
+    # closed form reads: a draw at the threshold leaves the site empty, one
+    # ulp below fills it
     p = AsepParams(q, c)
     half = math.ceil(math.log(1e-6) / math.log(q)) + 1
     lo, hi = math.floor(c) - half, math.ceil(c) + half
-    thr = occupation_profile(np.arange(lo, hi + 1), p)
+    thr = np.array([marginal(i, 1, p) for i in range(lo, hi + 1)])
     assert (thr > 0).all()
     below = np.nextafter(thr, 0.0)
     n = hi - lo + 1
@@ -161,21 +176,6 @@ def test_sample_blocking_occupies_exactly_below_its_threshold(q, c):
         s = sample_blocking((lo, hi), p, rng, eps=1e-6)
         assert rng.calls == [n]
         assert s.bits.tolist() == fill.astype(np.uint8).tolist()
-
-
-def test_occupation_profile_within_32_ulp_of_marginal():
-    # the vector formula and the scalar log-space marginal round differently;
-    # on this grid they differ by at most 32 ulp of the marginal (measured:
-    # the worst cell is q = 0.5, c = 0, site -48)
-    worst = 0.0
-    for q in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
-        for c in (0.0, 0.25, -0.5, 0.37, -3.7, 1.5, 10.1, -20.3):
-            p = AsepParams(q, c)
-            sites = np.arange(-60, 61)
-            for i, v in zip(sites, occupation_profile(sites, p)):
-                m = marginal(int(i), 1, p)
-                worst = max(worst, abs(float(v) - m) / math.ulp(m))
-    assert worst <= 32
 
 
 def test_sample_blocking_occupancy_statistics():
@@ -434,6 +434,14 @@ def test_brute_force_single_site():
 
 def test_brute_force_cap():
     with pytest.raises(SizeLimit):
+        brute_force_window_law(0, 22, AsepParams(0.5))
+
+
+def test_size_limits_are_input_errors():
+    # like every other input error of the library, a cap is a ValueError
+    with pytest.raises(ValueError):
+        enumerate_partitions(61)
+    with pytest.raises(ValueError):
         brute_force_window_law(0, 22, AsepParams(0.5))
 
 

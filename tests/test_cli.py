@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -353,6 +354,58 @@ class TestDistCommand:
         assert float(lines[-1].split(",")[1]) == pytest.approx(2.0, abs=1e-8)
 
 
+# Each command at the sites moved by s, and whether a row's key is a site
+# or a tuple of sites, which moves with them, or a count or a label.
+SHIFTED_COMMANDS = {
+    "left-particles": (
+        lambda s: ["dist", "--law", "left-particles", "--m", str(s)],
+        lambda row: False),
+    "right-holes": (
+        lambda s: ["dist", "--law", "right-holes", "--m", str(s)],
+        lambda row: False),
+    "window-particles": (
+        lambda s: ["dist", "--law", "window-particles", "--m1", str(s - 3),
+                   "--m2", str(s + 4)],
+        lambda row: False),
+    "second-class": (
+        lambda s: ["dist", "--law", "second-class", "--d", "2",
+                   f"--m={s - 15}:{s + 15}"],
+        lambda row: row[0] != "sum"),
+    "positions": (
+        lambda s: ["dist", "--law", "positions", "--d", "2",
+                   f"--m={s - 8}:{s + 8}"],
+        lambda row: row[0] != "sum"),
+    "simulate": (
+        lambda s: ["simulate", "--d", "2", "--T", "2", "--replicas", "3",
+                   "--seed", "5", f"--window={s - 60}:{s + 60}",
+                   "--window-eps", "1e-2"],
+        lambda row: row[0] != "label"),
+}
+
+
+@pytest.mark.parametrize("k", [10, 30, 40])
+@pytest.mark.parametrize("q", ["0.1", "0.5", "0.9"])
+@pytest.mark.parametrize("name", list(SHIFTED_COMMANDS))
+def test_value_columns_are_shift_invariant(name, q, k, tmp_path):
+    # at dyadic c, shifting c and the sites by 2^k is exact, so every value
+    # column must keep its bits; site keys move by 2^k, other keys stay
+    argv, key_moves = SHIFTED_COMMANDS[name]
+
+    def rows(s):
+        code, _, lines = run_csv(
+            argv(s) + ["--q", q, "--c", str(0.375 + s)], tmp_path)
+        assert code == 0
+        header, *body = csv.reader(lines)
+        return header.index("key"), body
+
+    key, base = rows(0)
+    _, shifted = rows(2**k)
+    for row in shifted:
+        if key_moves(row):
+            row[key] = ",".join(str(int(v) - 2**k) for v in row[key].split(","))
+    assert shifted == base
+
+
 SIM_ARGS = [
     "simulate", "--q", "0.5", "--c", "0", "--d", "1", "--window=-20:20",
     "--T", "5", "--replicas", "30", "--seed", "7", "--probes", "4",
@@ -665,3 +718,35 @@ def test_import_loads_every_traced_layer_without_numpy():
     layers = ["qseries", "partitions", "blocking", "coupling", "verify", "cli"]
     assert set(imported) >= {f"aseplab.{m}" for m in layers}
     assert not at_import, "importing aseplab.cli loaded numpy"
+
+
+def cli_child(argv, stdout):
+    """Start `python -m aseplab.cli argv` on the package's own source tree,
+    with the block-buffered stdout a shell pipe gives it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aseplab.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "aseplab.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_closed_pipe_mid_table_ends_quietly():
+    # `| head -2` on a table of 85k rows: the reader goes while rows are
+    # still being written
+    proc = cli_child(["dist", "--law", "positions", "--q", "0.3", "--d", "3",
+                      "--m=-40:40"], subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# {")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_closed_pipe_before_the_last_flush_ends_quietly():
+    # a short table sits in stdout's buffer until the end of the command;
+    # with the reader gone before the start, that flush is the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = cli_child(["verify", "--identity", "euler", "--q", "0.5"], write_end)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")

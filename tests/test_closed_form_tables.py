@@ -310,14 +310,14 @@ def test_positions_table_rows_equal_prob_positions(q, c, d):
     rows = list(prob_positions_table(sites, p, d))
     assert [m for m, _ in rows] == list(itertools.combinations(sites, d))
     for m, prob in rows:
-        assert prob == prob_positions(m, p, d) == frozen_prob_positions(m, p, d)
+        assert prob == prob_positions(m, p) == frozen_prob_positions(m, p, d)
 
 
 def test_positions_table_far_from_c():
     # q^{c+d-j-m} is huge here; the log terms take the other branch
     p = AsepParams(q=0.2, c=0.37)
     for m, prob in prob_positions_table(range(-400, -395), p, 2):
-        assert prob == prob_positions(m, p, 2) == frozen_prob_positions(m, p, 2)
+        assert prob == prob_positions(m, p) == frozen_prob_positions(m, p, 2)
 
 
 def assert_table_is_frozen(sites, p, d):
@@ -344,7 +344,7 @@ def test_positions_table_with_exactly_d_sites(d):
     sites = (-3, 0, 4, 5)[:d]
     p = AsepParams(q=0.7, c=-1.7)
     (row,) = assert_table_is_frozen(sites, p, d)
-    assert row == (sites, prob_positions(sites, p, d))
+    assert row == (sites, prob_positions(sites, p))
 
 
 @pytest.mark.parametrize("sites", [range(-400, -392), range(392, 400)],

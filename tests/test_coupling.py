@@ -415,7 +415,7 @@ class TestSecondClassLaws:
         with pytest.raises(ValueError):
             prob_positions((1, 0), P5)
         with pytest.raises(ValueError):
-            prob_positions((0, 1), P5, d=3)
+            prob_positions((), P5)
         with pytest.raises(ValueError):
             prob_second_class_at(0, P5, 0)
 
@@ -519,9 +519,7 @@ class TestSimulation:
         assert rep.n_events == 0
         assert rep.N_violations == 0
         mean, sem = rep.xi_site_stats()
-        from aseplab.blocking import occupation_profile
-
-        target = occupation_profile(rep.sites, p)
+        target = np.array([marginal(int(i), 1, p) for i in rep.sites])
         binom = np.sqrt(target * (1 - target) / rep.n_replicas)
         sigma = np.maximum(sem, binom)
         assert np.all(np.abs(mean - target) <= 3.5 * sigma + 1e-9)

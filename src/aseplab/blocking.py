@@ -146,9 +146,9 @@ class CountDist:
         return 0.0
 
 
-def sample_blocking(window, p, rng, eps=1e-12):
-    """Exact product sample of the blocking measure restricted to a window:
-    site i is filled iff its uniform draw lies below marginal(i, 1, p).
+def site_profile(window, p, eps=1e-12):
+    """[marginal(i, 1, p) for i in the window], the thresholds of
+    sample_blocking, as an array.
 
     Requires the boundary sites to already be frozen to ground state within
     eps, so the cut bias is quantifiable.
@@ -162,9 +162,21 @@ def sample_blocking(window, p, rng, eps=1e-12):
             f"window [{lo},{hi}] boundary marginals deviate by more than "
             f"eps={eps} from the frozen outside values (c={p.c}, q={p.q})"
         )
-    probs = np.array([marginal(i, 1, p) for i in range(lo, hi + 1)])
-    bits = (rng.random(hi - lo + 1) < probs).astype(np.uint8)
-    return WindowState(lo, hi, bits)
+    return np.array([marginal(i, 1, p) for i in range(lo, hi + 1)])
+
+
+def draw_window(window, profile, rng):
+    """One window drawn against a site_profile: site i is filled iff its
+    uniform draw lies below its threshold.  One rng.random(width) call."""
+    import numpy as np
+    lo, hi = window
+    return WindowState(lo, hi, (rng.random(hi - lo + 1) < profile).astype(np.uint8))
+
+
+def sample_blocking(window, p, rng, eps=1e-12):
+    """Exact product sample of the blocking measure restricted to a window:
+    draw_window against site_profile(window, p, eps)."""
+    return draw_window(window, site_profile(window, p, eps), rng)
 
 
 def prob_N(n, p):

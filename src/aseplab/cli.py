@@ -85,14 +85,18 @@ def _emit(args, meta, header, rows, line=_csv_line):
             [f"# {json.dumps(meta, sort_keys=True)}\n{','.join(header)}\n"],
             map(line, rows),
         )
-    try:  # the opening only: a failed write is no input error, and a closed
-        # pipe reaches main, which ends the command quietly
+    try:
         out = open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout)
     except OSError as e:
         raise ValueError(f"cannot open --out: {e}") from None
-    with out as fh:
-        fh.writelines(lines)
-        fh.flush()  # the last buffered lines too fail here, not at exit
+    try:
+        with out as fh:
+            fh.writelines(lines)
+            fh.flush()  # the last buffered lines too fail here, not at exit
+    except OSError as e:
+        if not args.out:  # a closed pipe reaches main, which ends quietly
+            raise
+        raise ValueError(f"cannot write --out {args.out}: {e}") from None
 
 
 def _meta(args, extra=None):

@@ -27,7 +27,8 @@ import math
 import operator
 from typing import NamedTuple
 
-from .blocking import RelationCheck, WindowState, _log1p_qpow, sample_blocking
+from .blocking import (RelationCheck, WindowState, _log1p_qpow, draw_window,
+                       site_profile)
 from .qseries import log_neg_pochhammer_infinite, log_pochhammer_finite
 
 
@@ -58,10 +59,10 @@ class CoupledState:
     sites in increasing order.  `walls` lists, in increasing order, the
     window indices k with occ[k] != occ[k-1]: the domain walls, one per
     enabled particle hop.  A hop keeps its own bond a wall and toggles only
-    the two bonds beside it, so apply_transition updates the list with one
-    bisect, and an event costs O(log walls + d) Python steps rather than a
-    walk over every wall.  Change the state only through apply_transition,
-    which keeps `occ`, `occupied`, `walls` and `labels` consistent.
+    the two bonds beside it, so an event costs O(log walls + d) Python steps
+    rather than a walk over every wall.  Change the state only through
+    apply_transition or simulate, which keep `occ`, `occupied`, `walls` and
+    `labels` consistent.
     """
 
     xi: WindowState
@@ -92,9 +93,7 @@ class CoupledState:
 
 class Transition(NamedTuple):
     """kind 'particle': the particle at site idx hops to idx+step.
-    kind 'label': label slot j=idx moves to particle index x_j + step.
-    A named tuple, since every event builds one: it takes about 60% of a
-    frozen dataclass's time to build."""
+    kind 'label': label slot j=idx moves to particle index x_j + step."""
 
     kind: str
     idx: int
@@ -167,62 +166,81 @@ def enabled_transitions(s, p):
     return moves
 
 
+def _hop_across(s, w):
+    """Make the hop _hop(s, s.walls[w]) names, keeping occ, occupied and
+    walls consistent.  Returns the particle's rank, which a hop into an
+    adjacent hole keeps."""
+    occ, walls = s.occ, s.walls
+    k = walls[w]
+    step = 1 if occ[k - 1] else -1
+    src = k - (step > 0)
+    occ[src] = 0
+    occ[src + step] = 1
+    rank = bisect_left(s.occupied, s.xi.lo + src)
+    s.occupied[rank] += step
+    # the hop's bond k stays a wall; the bonds k-1 and k+1 toggle
+    if k + 1 < len(occ):
+        if w + 1 < len(walls) and walls[w + 1] == k + 1:
+            del walls[w + 1]
+        else:
+            walls.insert(w + 1, k + 1)
+    if k > 1:
+        if w and walls[w - 1] == k - 1:
+            del walls[w - 1]
+        else:
+            walls.insert(w, k - 1)
+    return rank
+
+
+def _move_label(s, slot, step):
+    s.labels = s.labels[:slot] + (s.labels[slot] + step,) + s.labels[slot + 1:]
+
+
 def apply_transition(s, tr):
     """Apply one enabled move to s in place and return s."""
     if tr.kind == "particle":
-        occ = s.occ
-        i = tr.idx - s.xi.lo
-        occ[i] = 0
-        occ[i + tr.step] = 1
-        # a hop into an adjacent hole keeps the particle's rank
-        s.occupied[bisect_left(s.occupied, tr.idx)] = tr.idx + tr.step
-        # the hop's bond k stays a wall; the bonds k-1 and k+1 toggle
-        walls = s.walls
-        k = i + (tr.step > 0)
-        w = bisect_left(walls, k)
-        if k + 1 < len(occ):
-            if w + 1 < len(walls) and walls[w + 1] == k + 1:
-                del walls[w + 1]
-            else:
-                walls.insert(w + 1, k + 1)
-        if k > 1:
-            if w and walls[w - 1] == k - 1:
-                del walls[w - 1]
-            else:
-                walls.insert(w, k - 1)
+        k = tr.idx - s.xi.lo + (tr.step > 0)
+        _hop_across(s, bisect_left(s.walls, k))
     else:
-        labels = list(s.labels)
-        labels[tr.idx] += tr.step
-        s.labels = tuple(labels)
+        _move_label(s, tr.idx, tr.step)
     return s
+
+
+def _draw(sums, n, label_rates, exponential, random):
+    """Exponential holding time at the total rate, then one uniform that
+    picks a move in enabled_transitions order: the n live wall sums first,
+    then the label rates.  Returns (dt, i), where i < n names wall i and
+    i >= n the label move i - n."""
+    acc = total = sums[n - 1] if n else 0.0
+    for r in label_rates:
+        total += r
+    if total <= 0.0:
+        raise AbsorbingState("no enabled transitions")
+    dt = exponential(1.0 / total)
+    u = random() * total
+    # first move whose running rate sum exceeds u.  For r < 1, u = r*total
+    # rounds below total, the running sum over every move, so i < n when no
+    # label move is enabled, and the label loop always breaks
+    i = bisect_right(sums, u, 0, n)
+    if i == n:
+        for i, r in enumerate(label_rates, n):
+            acc += r
+            if u < acc:
+                break
+    return dt, i
 
 
 def choose_transition(s, p, rng):
     """Exponential holding time at the total rate, then a transition drawn
     proportionally to its rate, in enabled_transitions order.  Draw order
     is fixed (holding time first) so trajectories are seed-reproducible."""
-    walls = s.walls
-    n = len(walls)
-    rates, sums = _wall_rates(s, p.q)
+    n = len(s.walls)
+    _, sums = _wall_rates(s, p.q)
     codes, label_rates = _label_moves(s, p.q)
-    acc = total = sums[n - 1] if n else 0.0
-    for r in label_rates:
-        total += r
-    if total <= 0.0:
-        raise AbsorbingState("no enabled transitions")
-    dt = rng.exponential(1.0 / total)
-    u = rng.random() * total
-    # first move whose running rate sum exceeds u.  For r < 1, u = r*total
-    # rounds below total, the running sum over every move, so i < n when no
-    # label move is enabled, and the label loop always breaks
-    i = bisect_right(sums, u, 0, n)
-    if i == n:
-        for code, r in zip(codes, label_rates):
-            acc += r
-            if u < acc:
-                break
-        return Transition("label", *code), dt
-    return _hop(s, walls[i]), dt
+    dt, i = _draw(sums, n, label_rates, rng.exponential, rng.random)
+    if i < n:
+        return _hop(s, s.walls[i]), dt
+    return Transition("label", *codes[i - n]), dt
 
 
 def second_class_positions(s):
@@ -547,32 +565,36 @@ class SimulationReport:
         return self
 
 
-def simulate_stationary(
-    p,
-    d,
-    window,
-    T,
-    rng,
-    probes=10,
-    eps=1e-6,
-    margin=5,
-    keep_log=False,
-):
-    """One replica: exact (mu^c x pi) start, Gillespie to time T, state
-    recorded at probes+1 evenly spaced times including t=0.
+def simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin=5,
+                        keep_log=False):
+    """One replica: exact (mu^c x pi) start, then simulate from it."""
+    state = _stationary_start(window, site_profile(window, p, eps), d, p.q, rng)
+    return simulate(state, p, T, rng, probes, margin, keep_log)
+
+
+def _stationary_start(window, profile, d, q, rng):
+    """The window drawn against its site profile (sample_blocking's draw),
+    then the labels (sample_pi)."""
+    return CoupledState(xi=draw_window(window, profile, rng), labels=sample_pi(d, q, rng))
+
+
+def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
+    """Gillespie from the given state, changed in place, to time T, the
+    state recorded at probes+1 evenly spaced times including t=0.
 
     The probe at a time inside a holding interval sees the state holding
     there; a state with no enabled move holds for ever, so every later probe
     sees it.  Contamination = probes where some second-class particle sits
     within `margin` sites of the window edge.  With keep_log, rep.event_log
     lists every event as a (time, Transition) pair.
+
+    Events are drawn and applied as choose_transition and apply_transition
+    do.  The label moves are recomputed only after a label move or a hop by
+    a particle within one rank of a label: no other event changes them.
     """
     import numpy as np
-    lo, hi = window
-    xi = sample_blocking(window, p, rng, eps=eps)
-    labels = sample_pi(d, p.q, rng)
-    state = CoupledState(xi=xi, labels=labels)
-
+    lo, hi = state.xi.lo, state.xi.hi
+    d = len(state.labels)
     if T > 0 and probes >= 1:
         probe_times = [0.0] + [i * T / probes for i in range(1, probes + 1)]
     else:
@@ -581,7 +603,7 @@ def simulate_stationary(
                            event_log=[] if keep_log else None)
 
     n_probes = len(probe_times)
-    occ = state.occ
+    occ, walls = state.occ, state.walls
     xi_snaps, x_seen, labels_seen = [], [], []
 
     def record(n):
@@ -591,26 +613,42 @@ def simulate_stationary(
             x_seen.extend([second_class_positions(state)] * n)
             labels_seen.extend([state.labels] * n)
 
+    # running rate sums by occ[0], the pattern _wall_rates picks from
+    _wall_rates(state, p.q)
+    sums_by_lo = [sums for _, sums in state._rate_tables[1:]]
+    exponential, random = rng.exponential, rng.random
+    codes, label_rates = _label_moves(state, p.q)
+    near = {x + e for x in state.labels for e in (-1, 0, 1)}
     record(1)
-    idx = 1
-    t = 0.0
+    idx, n_events, t = 1, 0, 0.0
     while idx < n_probes:
+        n = len(walls)
         try:
-            tr, dt = choose_transition(state, p, rng)
+            dt, i = _draw(sums_by_lo[occ[0]], n, label_rates, exponential, random)
         except AbsorbingState:  # raised before any draw
             record(n_probes - idx)
             break
         t += dt
-        # probes idx..nxt-1, the ones at or before t, fall in the holding
-        # interval that ends here
-        nxt = bisect_right(probe_times, t, idx)
-        if nxt > idx:
+        if probe_times[idx] <= t:
+            # probes idx..nxt-1, the ones at or before t, fall in the
+            # holding interval that ends here
+            nxt = bisect_right(probe_times, t, idx)
             record(nxt - idx)
             idx = nxt
-        if keep_log:
-            rep.event_log.append((t, tr))
-        apply_transition(state, tr)
-        rep.n_events += 1
+        if i < n:
+            if keep_log:
+                rep.event_log.append((t, _hop(state, walls[i])))
+            if _hop_across(state, i) in near:
+                codes, label_rates = _label_moves(state, p.q)
+        else:
+            slot, step = codes[i - n]
+            if keep_log:
+                rep.event_log.append((t, Transition("label", slot, step)))
+            _move_label(state, slot, step)
+            codes, label_rates = _label_moves(state, p.q)
+            near = {x + e for x in state.labels for e in (-1, 0, 1)}
+        n_events += 1
+    rep.n_events = n_events
 
     # one line per probe, in probe order; eta drops the labeled particles
     xi_seen = np.frombuffer(b"".join(xi_snaps), dtype=np.uint8).reshape(n_probes, -1)
@@ -639,36 +677,20 @@ def replica_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
-def run_ensemble(
-    p,
-    d,
-    window,
-    T,
-    replicas,
-    seed,
-    probes=10,
-    eps=1e-6,
-    margin=5,
-):
+def run_ensemble(p, d, window, T, replicas, seed, probes=10, eps=1e-6, margin=5):
     """Independent replicas with per-replica RNG streams, merged into one
-    report in replica order as each completes.  The report keeps every
+    report in replica order as each completes.  Each replica is
+    simulate_stationary on its own stream, its window drawn against one
+    site profile computed for the whole ensemble.  The report keeps every
     replica's rows, so it grows with the replica count.  It carries the
     contamination count; judging it is the caller's business."""
     if replicas < 1:
         raise ValueError("need at least one replica")
-    return reduce(
-        SimulationReport.merge,
-        (
-            simulate_stationary(
-                p,
-                d,
-                window,
-                T,
-                replica_rng(seed, i),
-                probes=probes,
-                eps=eps,
-                margin=margin,
-            )
-            for i in range(replicas)
-        ),
-    )
+    profile = site_profile(window, p, eps)
+
+    def replica(i):
+        rng = replica_rng(seed, i)
+        state = _stationary_start(window, profile, d, p.q, rng)
+        return simulate(state, p, T, rng, probes, margin)
+
+    return reduce(SimulationReport.merge, map(replica, range(replicas)))

@@ -19,6 +19,7 @@ from aseplab.blocking import (
     WindowState,
     WindowTooNarrow,
     brute_force_window_law,
+    draw_window,
     marginal,
     prob_N,
     prob_N_at,
@@ -28,6 +29,7 @@ from aseplab.blocking import (
     prob_window_particles,
     sample_blocking,
     shift_relation_checks,
+    site_profile,
 )
 from aseplab.partitions import SizeLimit, enumerate_partitions
 from aseplab.qseries import (
@@ -182,10 +184,17 @@ def test_sample_blocking_occupancy_statistics():
     p = AsepParams(0.5, 0.0)
     rng = np.random.default_rng(123)
     n = 20_000
+    # sample_blocking is draw_window against site_profile, so the windows
+    # are drawn against one profile; a twin rng shows the draws are its own
+    profile = site_profile((-45, 45), p)
+    twin = np.random.default_rng(123)
     hits_p2 = 0
     hits_m2 = 0
-    for _ in range(n):
-        s = sample_blocking((-45, 45), p, rng)
+    for i in range(n):
+        s = draw_window((-45, 45), profile, rng)
+        if i < 3:
+            want = sample_blocking((-45, 45), p, twin)
+            assert s.bits.tolist() == want.bits.tolist()
         hits_p2 += s.occupancy(2)
         hits_m2 += s.occupancy(-2)
     want_p2 = marginal(2, 1, p)  # 0.8

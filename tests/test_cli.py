@@ -600,6 +600,24 @@ class TestUsage:
         assert err.startswith("error: cannot open --out: ") and str(out) in err
         assert err.count("\n") == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--identity", "euler", "--q", "0.5"],
+            ["verify", "--identity", "durfee", "--exact"],
+        ],
+        ids=["euler", "durfee-exact"],
+    )
+    def test_failed_write_is_input_error(self, argv, capsys):
+        # /dev/full opens, then fails every write with ENOSPC
+        assert main(argv + ["--out", "/dev/full"]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: cannot write --out /dev/full: ")
+        assert "No space left on device" in err
+        assert err.count("\n") == 1
+
     def test_bad_window(self):
         assert main(["simulate", "--q", "0.5", "--window", "5:1"]) == 2
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from aseplab import coupling
+from aseplab import blocking, coupling
 from aseplab.blocking import (
     AsepParams,
     WindowState,
@@ -678,6 +678,22 @@ class TestSimulation:
     def test_ensemble_needs_replicas(self):
         with pytest.raises(ValueError):
             run_ensemble(P5, 1, (-20, 20), 1.0, replicas=0, seed=1)
+
+    def test_ensemble_builds_its_site_profile_once(self, monkeypatch):
+        calls = []
+
+        def counted(i, z, p):
+            calls.append((i, z))
+            return marginal(i, z, p)
+
+        monkeypatch.setattr(blocking, "marginal", counted)
+        counts = []
+        for replicas in (1, 40):
+            calls.clear()
+            run_ensemble(P5, 1, (-20, 20), 0.5, replicas=replicas, seed=3)
+            counts.append(len(calls))
+        # the boundary check and one threshold per site, for any replica count
+        assert counts == [2 + 41, 2 + 41]
 
 
 def left_fold_stats(rows, n):

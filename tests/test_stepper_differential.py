@@ -1,13 +1,14 @@
 """Differential test of the in-place Gillespie stepper.
 
 The oracle below is the earlier per-event stepper, kept verbatim but for
-the (time, Transition) pairs of its event log: it rescans every bond,
-builds a Transition for every enabled move and copies the whole state on
-each event.  The package's stepper must reproduce it
-exactly -- same enabled moves in the same order, same draws, same event
-log and the same report, field by field -- and keep its ordered lists of
-occupied sites and of domain walls equal to the ones the occupancy bits
-give after every step.
+the (time, Transition) pairs of its event log and for its loop standing
+apart from its stationary start, so that it also runs from a given state:
+it rescans every bond, builds a Transition for every enabled move and
+copies the whole state on each event.  The package's stepper must
+reproduce it exactly -- same enabled moves in the same order, same draws,
+same event log and the same report, field by field -- and keep its
+ordered lists of occupied sites and of domain walls equal to the ones the
+occupancy bits give after every step.
 """
 
 from collections import Counter
@@ -28,6 +29,7 @@ from aseplab.coupling import (
     choose_transition,
     enabled_transitions,
     sample_pi,
+    simulate,
     simulate_stationary,
 )
 from test_coupling import gillespie_step
@@ -128,11 +130,14 @@ def oracle_eta_from(s):
 
 
 def oracle_simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin=5):
-    lo, hi = window
     xi = sample_blocking(window, p, rng, eps=eps)
     labels = sample_pi(d, p.q, rng)
-    state = OracleState(xi=xi, labels=labels)
+    return oracle_simulate(OracleState(xi=xi, labels=labels), p, T, rng, probes, margin)
 
+
+def oracle_simulate(state, p, T, rng, probes=10, margin=5):
+    lo, hi = state.xi.lo, state.xi.hi
+    d = state.d
     if T > 0 and probes >= 1:
         probe_times = [0.0] + [i * T / probes for i in range(1, probes + 1)]
     else:
@@ -343,3 +348,36 @@ def test_construction_copies_the_window():
     assert s.xi.bits.tolist() == [0, 1, 0, 1, 1, 0, 1, 1]
     assert_consistent(s)
 
+
+def starts(q, d):
+    """Three starts away from stationarity, as (name, xi, labels): the
+    packed ground state with every other particle labeled, labels on the
+    leftmost particles, and the last label near the right edge."""
+    lo, hi = WINDOWS[q]
+    packed = WindowState(lo, hi, (np.arange(lo, hi + 1) >= 1).astype(np.uint8))
+    yield "packed", packed, tuple(range(0, 2 * d, 2))
+    xi = sample_blocking((lo, hi), AsepParams(q=q, c=0.3), np.random.default_rng(d), eps=EPS)
+    yield "leftmost", xi, tuple(range(d))
+    n = xi.particle_count()
+    yield "right-edge", xi, tuple(range(d - 1)) + ((n - 2,) if d else ())
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_simulate_from_given_states_matches_oracle(q, d):
+    p = AsepParams(q=q, c=0.3)
+    for (name, xi, labels), seed in zip(starts(q, d), (21, 22, 23)):
+        kw = dict(probes=15, margin=3)
+        want = oracle_simulate(OracleState(xi=xi.copy(), labels=labels), p, 20.0,
+                               np.random.default_rng(seed), **kw)
+        s = CoupledState(xi=xi, labels=labels)
+        got = simulate(s, p, 20.0, np.random.default_rng(seed), keep_log=True, **kw)
+        assert got.n_events > 0, name
+        assert got.event_log == want.event_log, name
+        assert_same_report(got, want)
+        assert_consistent(s)
+        # without the log the same draws give the same report
+        again = simulate(CoupledState(xi=xi, labels=labels), p, 20.0,
+                         np.random.default_rng(seed), **kw)
+        again.event_log = want.event_log
+        assert_same_report(again, want)

@@ -28,7 +28,7 @@ from .blocking import (
 from .coupling import (
     pi_label,
     pi_label_table,
-    prob_positions,
+    prob_positions_of,
     prob_positions_table,
     prob_second_class_at,
     run_ensemble,
@@ -93,10 +93,9 @@ def _emit(args, meta, header, rows, line=_csv_line):
         with out as fh:
             fh.writelines(lines)
             fh.flush()  # the last buffered lines too fail here, not at exit
-    except OSError as e:
-        if not args.out:  # a closed pipe reaches main, which ends quietly
-            raise
-        raise ValueError(f"cannot write --out {args.out}: {e}") from None
+    except OSError as e:  # main reports a failed write to stdout
+        err = ValueError(f"cannot write --out {args.out}: {e}") if args.out else e
+        raise err from None
 
 
 def _meta(args, extra=None):
@@ -282,11 +281,12 @@ def cmd_simulate(parser, args):
             add(table, str(site), None, mean[j], None if sem is None else sem[j],
                 marginal(int(site), 1, law))
     for table, key_rows, law in (
-        ("x", rep.x_rows, lambda key: prob_positions(key, p)),
-        ("label", rep.label_rows, lambda key: pi_label(key, p.q)),
+        ("x", rep.x_rows, lambda keys: prob_positions_of(keys, p, rep.d)),
+        ("label", rep.label_rows, lambda keys: (pi_label(key, p.q) for key in keys)),
     ):
-        for key, (count, mean, sem) in rep.key_stats(key_rows).items():
-            add(table, ",".join(map(str, key)), count, mean, sem, law(key))
+        stats = rep.key_stats(key_rows)
+        for (key, (count, mean, sem)), analytic in zip(stats.items(), law(list(stats))):
+            add(table, ",".join(map(str, key)), count, mean, sem, analytic)
 
     meta = _meta(args, rep.meta())
     meta["contamination_fraction"] = rep.contamination_fraction
@@ -462,11 +462,13 @@ def main(argv=None):
         return args.handler(args.parser, args)
     except SystemExit as e:  # usage errors, in parsing or in a handler
         return int(e.code or 0)
-    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
-        # the rest goes to devnull, so the exit flush cannot raise again;
-        # 141 is what a shell reports for a writer that SIGPIPE stopped
+    except OSError as e:  # only _emit lets one out: writing stdout failed
+        # the rest goes to devnull, so the exit flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(e, BrokenPipeError):  # the reader left early, as `| head` does
+            return 141  # what a shell reports for a writer that SIGPIPE stopped
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
+        return 2
     except (ValueError, OverflowError) as e:  # bad input, or out of float range
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -352,48 +352,52 @@ def prob_positions(m, p):
     """Joint law of the d = len(m) second-class positions (Thm of the d-label
     chain): prod_i (1-q^i) * q^{dc - sum m_j} / prod_j (1+q^{c+d-j-m_j})(1+q^{c+d+1-j-m_j})."""
     mvec = tuple(int(v) for v in m)
-    d = len(mvec)
-    if d < 1:
+    if not mvec:
         raise ValueError("m must have length d >= 1")
     if any(b <= a for a, b in zip(mvec, mvec[1:])):
         raise ValueError("positions must be strictly increasing")
-    (_, prob), = prob_positions_table(mvec, p, d)
-    return prob
+    return next(prob_positions_of([mvec], p, len(mvec)))
+
+
+def _position_terms(sites, p, d):
+    """log prod_i (1-q^i), and slots[j-1][i]: (c-m) log q and the logs of slot
+    j's two denominator factors at m = sites[i], then (m,).  Added left to right."""
+    lq = math.log(p.q)
+    base = reduce(operator.add, (math.log1p(-(p.q ** i)) for i in range(1, d + 1)), 0.0)
+    return base, [[(u * lq, _log1p_qpow(u + d - j, lq), _log1p_qpow(u + d + 1 - j, lq),
+                    (m,)) for m in sites for u in (p.c - m,)] for j in range(1, d + 1)]
+
+
+def prob_positions_of(keys, p, d):
+    """prob_positions(m, p) for each increasing int d-tuple m of the list
+    keys, in order, with the terms of each (slot, site) computed once."""
+    sites = sorted({m for key in keys for m in key})
+    index = {m: i for i, m in enumerate(sites)}
+    base, slots = _position_terms(sites, p, d)
+    for key in keys:
+        logv = base
+        for terms, m in zip(slots, key):
+            ul, a, b, _ = terms[index[m]]
+            logv = logv + ul - a - b
+        yield math.exp(logv)
 
 
 def prob_positions_table(sites, p, d):
     """(m, prob_positions(m, p)) for every increasing d-tuple m of the
     increasing int sites, in itertools.combinations order.
 
-    The log terms of each (slot, site) pair are computed once, and the log
-    sum of each (d-1)-slot prefix once for all its rows; a row adds only its
-    last slot's terms, still left to right, so every float is bit for bit
-    the per-tuple evaluation's.
+    The log sum of each (d-1)-slot prefix is computed once for all its rows;
+    a row adds only its last slot's terms, still left to right, so every
+    float is bit for bit the per-tuple evaluation's.
     """
     sites = tuple(sites)
-    lq = math.log(p.q)
-    base = 0.0
-    for i in range(1, d + 1):
-        base += math.log1p(-(p.q ** i))
-    # slots[j-1][i]: (c-m) log q and the logs of the two denominator
-    # factors of slot j at site m = sites[i]
-    slots = []
-    for j in range(1, d + 1):
-        terms = []
-        for mj in sites:
-            u = p.c - mj
-            terms.append((u * lq, _log1p_qpow(u + d - j, lq),
-                          _log1p_qpow(u + d + 1 - j, lq), (mj,)))
-        slots.append(terms)
-    *head, last = slots
+    base, (*head, last) = _position_terms(sites, p, d)
     # prefixes in order, each then with its last sites: combinations order
     for prefix in itertools.combinations(range(len(sites) - 1), d - 1):
         logv, m = base, ()
         for terms, i in zip(head, prefix):
             ul, a, b, site = terms[i]
-            logv += ul
-            logv -= a
-            logv -= b
+            logv = logv + ul - a - b
             m += site
         for ul, a, b, site in last[prefix[-1] + 1 if prefix else 0:]:
             yield m + site, math.exp(logv + ul - a - b)
@@ -589,8 +593,8 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
     lists every event as a (time, Transition) pair.
 
     Events are drawn and applied as choose_transition and apply_transition
-    do.  The label moves are recomputed only after a label move or a hop by
-    a particle within one rank of a label: no other event changes them.
+    do.  The label moves are listed again only when an event changes them,
+    and a holding interval with probes is recorded once, weighted by their count.
     """
     import numpy as np
     lo, hi = state.xi.lo, state.xi.hi
@@ -600,73 +604,82 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
     else:
         probe_times = [0.0]
     rep = SimulationReport(lo, hi, d, p.q, p.c, T, tuple(probe_times),
+                           x_rows=[Counter()], label_rows=[Counter()],
                            event_log=[] if keep_log else None)
-
     n_probes = len(probe_times)
     occ, walls = state.occ, state.walls
-    xi_snaps, x_seen, labels_seen = [], [], []
-
-    def record(n):
-        # the n probes of one holding interval all see the same state
-        xi_snaps.extend([bytes(occ)] * n)
-        if d:
-            x_seen.extend([second_class_positions(state)] * n)
-            labels_seen.extend([state.labels] * n)
-
     # running rate sums by occ[0], the pattern _wall_rates picks from
     _wall_rates(state, p.q)
     sums_by_lo = [sums for _, sums in state._rate_tables[1:]]
     exponential, random = rng.exponential, rng.random
+    X = second_class_positions(state)
     codes, label_rates = _label_moves(state, p.q)
     near = {x + e for x in state.labels for e in (-1, 0, 1)}
-    record(1)
+    snaps = [(bytes(occ), X, state.labels, 1)]  # per interval: occ, X, labels, probes
     idx, n_events, t = 1, 0, 0.0
     while idx < n_probes:
         n = len(walls)
         try:
             dt, i = _draw(sums_by_lo[occ[0]], n, label_rates, exponential, random)
-        except AbsorbingState:  # raised before any draw
-            record(n_probes - idx)
-            break
+        except AbsorbingState:  # raised before any draw: the state holds for ever
+            dt = math.inf
         t += dt
         if probe_times[idx] <= t:
             # probes idx..nxt-1, the ones at or before t, fall in the
             # holding interval that ends here
             nxt = bisect_right(probe_times, t, idx)
-            record(nxt - idx)
+            if X is None:  # a label or a labeled particle moved since the last
+                X = second_class_positions(state)
+            snaps.append((bytes(occ), X, state.labels, nxt - idx))
             idx = nxt
+            if dt == math.inf:
+                break
         if i < n:
+            b = lo + walls[i] - 1  # the hop is between sites b and b+1
             if keep_log:
                 rep.event_log.append((t, _hop(state, walls[i])))
-            if _hop_across(state, i) in near:
-                codes, label_rates = _label_moves(state, p.q)
+            r = _hop_across(state, i)
+            if r in near:
+                labels, occupied = state.labels, state.occupied
+                if r in labels:
+                    X = None
+                # ranks r-1, r toggle adjacency iff r-1 sits at b-1, r, r+1 iff r+1
+                # sits at b+2; the moves change iff such a pair has exactly one label
+                if (r and occupied[r - 1] == b - 1 and (r - 1 in labels) != (r in labels)
+                        or r + 1 < len(occupied) and occupied[r + 1] == b + 2
+                        and (r + 1 in labels) != (r in labels)):
+                    codes, label_rates = _label_moves(state, p.q)
         else:
             slot, step = codes[i - n]
             if keep_log:
                 rep.event_log.append((t, Transition("label", slot, step)))
             _move_label(state, slot, step)
+            X = None
             codes, label_rates = _label_moves(state, p.q)
             near = {x + e for x in state.labels for e in (-1, 0, 1)}
         n_events += 1
     rep.n_events = n_events
 
-    # one line per probe, in probe order; eta drops the labeled particles
-    xi_seen = np.frombuffer(b"".join(xi_snaps), dtype=np.uint8).reshape(n_probes, -1)
+    # one line per snapshot, weighted by its probes: every sum is an exact
+    # integer before the rows' one division; eta drops the labeled particles
+    xi_snaps, x_seen, labels_seen, ws = zip(*snaps)
+    w = np.array(ws)
+    xi_seen = np.frombuffer(b"".join(xi_snaps), dtype=np.uint8).reshape(len(ws), -1)
     eta_seen = xi_seen.copy()
     if d:
         X = np.array(x_seen)
-        eta_seen[np.arange(n_probes)[:, None], X - lo] = 0
-        rep.contaminated_probes = int(
-            ((X[:, 0] < lo + margin) | (X[:, -1] > hi - margin)).sum()
-        )
+        eta_seen[np.arange(len(ws))[:, None], X - lo] = 0
+        edge = (X[:, 0] < lo + margin) | (X[:, -1] > hi - margin)
+        rep.contaminated_probes = int(w @ edge)
+        for x, lab, n in zip(x_seen, labels_seen, ws):
+            rep.x_rows[0][x] += n
+            rep.label_rows[0][lab] += n
     # removing a particle raises N by one, whichever side of 0 it sat on, so
     # N(eta) - N(xi) = d exactly when the labels removed d particles; eta is
     # xi with bits cleared, so the unsigned difference cannot wrap
-    rep.N_violations = int((xi_seen.sum(1) - eta_seen.sum(1) != d).sum())
-    rep.xi_rows.append(xi_seen.sum(axis=0) / n_probes)
-    rep.eta_rows.append(eta_seen.sum(axis=0) / n_probes)
-    rep.x_rows.append(Counter(x_seen))
-    rep.label_rows.append(Counter(labels_seen))
+    rep.N_violations = int(w @ (xi_seen.sum(1) - eta_seen.sum(1) != d))
+    rep.xi_rows.append(w @ xi_seen / n_probes)
+    rep.eta_rows.append(w @ eta_seen / n_probes)
     return rep
 
 

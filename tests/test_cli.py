@@ -768,3 +768,24 @@ def test_closed_pipe_before_the_last_flush_ends_quietly():
     os.close(write_end)
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--identity", "euler", "--q", "0.5"],
+        ["simulate", "--q", "0.5", "--window=-10:10", "--window-eps", "1e-3",
+         "--T", "1", "--replicas", "3", "--seed", "5"],
+    ],
+    ids=["euler", "simulate"],
+)
+def test_failed_write_to_stdout_is_input_error(argv):
+    # /dev/full takes the open and fails the write with ENOSPC: one error
+    # line and exit 2, with no second failure from the flush at exit
+    with open("/dev/full", "w") as full:
+        proc = cli_child(argv, full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith(b"error: cannot write stdout: [Errno 28] ")
+    assert err.count(b"\n") == 1

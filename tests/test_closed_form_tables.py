@@ -15,6 +15,7 @@ one error in what an exact suite is handed and require the suite to fail.
 
 import itertools
 import math
+import random
 import re
 import sys
 
@@ -31,6 +32,7 @@ from aseplab.coupling import (
     pi_label,
     pi_label_table,
     prob_positions,
+    prob_positions_of,
     prob_positions_table,
 )
 from aseplab.partitions import (
@@ -362,6 +364,23 @@ def test_pi_table_rows_equal_pi_label(q, d):
     assert [x for x, _ in rows] == list(itertools.combinations(range(cap + 1), d))
     for x, prob in rows:
         assert prob == pi_label(x, q)
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_positions_of_keys_equal_prob_positions(q, d):
+    # the simulate x table: scattered keys, sharing some sites and not
+    # others, in no particular order, with c near and far from the keys
+    rng = random.Random(d * 10 + int(q * 10))
+    for c in (0.0, 0.37, -3.2, 17.5, 40.0, -40.0):
+        p = AsepParams(q=q, c=c)
+        keys = [tuple(sorted(rng.sample(range(-45, 46), d))) for _ in range(30)]
+        keys += keys[:3]  # a key asked twice gets the same float twice
+        got = list(prob_positions_of(keys, p, d))
+        assert len(got) == len(keys)
+        for key, prob in zip(keys, got):
+            assert prob == prob_positions(key, p) == frozen_prob_positions(key, p, d)
+    assert list(prob_positions_of([], p, d)) == []
 
 
 # ------------------------------------------------------- exact DP tables

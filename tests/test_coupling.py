@@ -614,6 +614,37 @@ class TestSimulation:
         assert 0 < empty < rep.total_probes
         assert rep.N_violations == empty
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_label_moves_are_refreshed_only_when_a_hop_changes_them(self, d,
+                                                                     monkeypatch):
+        # every label move is followed by a refresh, so a refresh that finds
+        # the labels of the one before follows a hop, and must be needed;
+        # a refresh a hop needs but does not get fails the stepper
+        # differential
+        calls = []
+
+        def recorded(s, q):
+            moves = label_moves(s, q)
+            calls.append((s, s.labels, moves))
+            return moves
+
+        label_moves = coupling._label_moves
+        monkeypatch.setattr(coupling, "_label_moves", recorded)
+        p = AsepParams(q=0.7, c=0.3)
+        after_hops = 0
+        for seed in range(1, 9):
+            try:
+                simulate_stationary(p, d, (-16, 16), 10.0,
+                                    np.random.default_rng([seed, d]), eps=0.45)
+            except LabelOutOfRange:  # the pi sample outranks the particles
+                continue
+            for (s0, labels0, moves0), (s1, labels1, moves1) in zip(calls, calls[1:]):
+                if s1 is s0 and labels1 == labels0:
+                    assert moves1 != moves0
+                    after_hops += 1
+            calls.clear()
+        assert after_hops >= 20
+
     @pytest.mark.parametrize("name", list(OTHER_LAYOUT))
     def test_merge_layout_mismatch(self, name):
         p = AsepParams(q=0.5, c=0.0)

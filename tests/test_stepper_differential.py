@@ -381,3 +381,65 @@ def test_simulate_from_given_states_matches_oracle(q, d):
                          np.random.default_rng(seed), **kw)
         again.event_log = want.event_log
         assert_same_report(again, want)
+
+
+# ------------------------------------------ holding intervals and weights
+
+# Six particles in a width-9 window run to T = 5 make a few dozen events, so
+# at 2,000 probes most holding intervals hold dozens of probes, and the
+# package's one snapshot per interval counts for every one of them.
+FEW = WindowState(-4, 4, np.array([1, 1, 0, 1, 0, 1, 1, 0, 1], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_intervals_holding_many_probes_match_oracle(d):
+    p = AsepParams(q=0.6, c=0.3)
+    # labels on the leftmost and on the rightmost particles: both start
+    # within the margin of an edge, so contaminated intervals count many
+    # probes each
+    for labels, seed in ((tuple(range(d)), 51), (tuple(range(6 - d, 6)), 52)):
+        kw = dict(probes=2000, margin=3)
+        want = oracle_simulate(OracleState(xi=FEW.copy(), labels=labels), p, 5.0,
+                               np.random.default_rng(seed), **kw)
+        got = simulate(CoupledState(xi=FEW, labels=labels), p, 5.0,
+                       np.random.default_rng(seed), keep_log=True, **kw)
+        assert 0 < got.n_events < got.n_probes // 20
+        assert got.event_log == want.event_log
+        assert_same_report(got, want)
+        if d:
+            assert got.contaminated_probes > 1
+
+
+@pytest.mark.parametrize(
+    "bits,labels",
+    [([1, 1, 1, 1], (0, 1, 2, 3)), ([1] * 5, ()), ([0] * 5, ())],
+    ids=["all-labeled", "full", "empty"],
+)
+def test_a_frozen_window_weights_its_one_interval(bits, labels):
+    # no move is enabled, so after t = 0 one holding interval holds every
+    # probe.  The oracle stops there (its stepper raises), so the report
+    # expected is the oracle's report of the one probe at T = 0 with every
+    # count times the number of probes
+    xi = WindowState(-2, len(bits) - 3, np.array(bits, dtype=np.uint8))
+    p = AsepParams(q=0.5, c=0.3)
+    kw = dict(probes=2000, margin=2)
+    with pytest.raises(AbsorbingState):
+        oracle_simulate(OracleState(xi=xi.copy(), labels=labels), p, 5.0,
+                        np.random.default_rng(0), **kw)
+    one = oracle_simulate(OracleState(xi=xi.copy(), labels=labels), p, 0.0,
+                          np.random.default_rng(0), **kw)
+    n = 2001
+    times = tuple([0.0] + [i * 5.0 / 2000 for i in range(1, n)])
+    want = SimulationReport(
+        one.lo, one.hi, one.d, one.q, one.c, 5.0, times,
+        contaminated_probes=n * one.contaminated_probes,
+        N_violations=n * one.N_violations,
+        xi_rows=one.xi_rows, eta_rows=one.eta_rows,
+        x_rows=[Counter({k: n * v for k, v in one.x_rows[0].items()})],
+        label_rows=[Counter({k: n * v for k, v in one.label_rows[0].items()})],
+        event_log=[],
+    )
+    got = simulate(CoupledState(xi=xi, labels=labels), p, 5.0,
+                   np.random.default_rng(0), keep_log=True, **kw)
+    assert_same_report(got, want)
+    assert got.contaminated_probes == (n if labels else 0)

@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 from .blocking import (RelationCheck, WindowState, _log1p_qpow, draw_window,
                        site_profile)
-from .qseries import log_neg_pochhammer_infinite, log_pochhammer_finite
 
 
 class AbsorbingState(Exception):
@@ -62,7 +61,7 @@ class CoupledState:
     the two bonds beside it, so an event costs O(log walls + d) Python steps
     rather than a walk over every wall.  Change the state only through
     apply_transition or simulate, which keep `occ`, `occupied`, `walls` and
-    `labels` consistent.
+    `labels` consistent.  These fields are all the state holds.
     """
 
     xi: WindowState
@@ -70,8 +69,6 @@ class CoupledState:
     occ: bytearray = field(init=False, repr=False)
     occupied: list = field(init=False, repr=False)
     walls: list = field(init=False, repr=False)
-    # (q, rates and running sums if site lo is empty, the same if occupied)
-    _rate_tables: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         import numpy as np
@@ -100,24 +97,16 @@ class Transition(NamedTuple):
     step: int
 
 
-def _wall_rates(s, q):
-    """Rates of the particle hops at s.walls, left to right, and their
-    running sums.  A 1->0 wall is a right hop at rate 1, a 0->1 wall a left
-    hop at rate q, and the wall types alternate, so the rates are
-    1, q, 1, q, ... when site lo is occupied and q, 1, q, ... when it is
-    empty.  Both patterns are built once per state and q, one entry per
-    bond of the window; the first len(s.walls) entries are the live ones.
-    The tables are keyed on q's type as well as its value, since
-    Fraction(1, 2) == 0.5 would otherwise hand float q Fraction rates."""
-    tables = s._rate_tables
-    if tables is None or tables[0] != q or type(tables[0]) is not type(q):
-        n = len(s.occ) - 1
-        tables = (q,) + tuple(
-            (rates, list(itertools.accumulate(rates)))
-            for rates in (([q, 1.0] * n)[:n], ([1.0, q] * n)[:n])
-        )
-        s._rate_tables = tables
-    return tables[1 + s.occ[0]]
+def _wall_rates(n, q):
+    """Rates of the particle hops at the walls of a window of n bonds, left
+    to right, and their running sums: (rates, sums) if site lo is empty,
+    then (rates, sums) if it is occupied.  A 1->0 wall is a right hop at
+    rate 1, a 0->1 wall a left hop at rate q, and the wall types alternate,
+    so the rates are q, 1, q, ... when site lo is empty and 1, q, 1, ...
+    when it is occupied.  Each list has one entry per bond; the first
+    len(walls) entries are the live ones."""
+    return tuple((rates, list(itertools.accumulate(rates)))
+                 for rates in (([q, 1.0] * n)[:n], ([1.0, q] * n)[:n]))
 
 
 def _hop(s, k):
@@ -159,7 +148,7 @@ def enabled_transitions(s, p):
     unlabeled; swaps whose partner particle lies outside the window are
     dropped with the boundary (the contamination monitor accounts for them).
     """
-    rates, _ = _wall_rates(s, p.q)
+    rates, _ = _wall_rates(len(s.occ) - 1, p.q)[s.occ[0]]
     moves = [(_hop(s, k), r) for k, r in zip(s.walls, rates)]
     codes, label_rates = _label_moves(s, p.q)
     moves += [(Transition("label", *code), r) for code, r in zip(codes, label_rates)]
@@ -197,13 +186,18 @@ def _move_label(s, slot, step):
 
 
 def apply_transition(s, tr):
-    """Apply one enabled move to s in place and return s."""
+    """Apply one enabled move to s in place and return s.  A move that is
+    not enabled raises ValueError and leaves s untouched."""
     if tr.kind == "particle":
-        k = tr.idx - s.xi.lo + (tr.step > 0)
-        _hop_across(s, bisect_left(s.walls, k))
-    else:
+        k = tr.idx - s.xi.lo + (tr.step > 0)  # the bond the hop crosses
+        w = bisect_left(s.walls, k)
+        if w < len(s.walls) and s.walls[w] == k and _hop(s, k) == tr:
+            _hop_across(s, w)
+            return s
+    elif tr.kind == "label" and (tr.idx, tr.step) in _label_moves(s, 1.0)[0]:
         _move_label(s, tr.idx, tr.step)
-    return s
+        return s
+    raise ValueError(f"not an enabled move: {tr}")
 
 
 def _draw(sums, n, label_rates, exponential, random):
@@ -235,7 +229,7 @@ def choose_transition(s, p, rng):
     proportionally to its rate, in enabled_transitions order.  Draw order
     is fixed (holding time first) so trajectories are seed-reproducible."""
     n = len(s.walls)
-    _, sums = _wall_rates(s, p.q)
+    _, sums = _wall_rates(len(s.occ) - 1, p.q)[s.occ[0]]
     codes, label_rates = _label_moves(s, p.q)
     dt, i = _draw(sums, n, label_rates, rng.exponential, rng.random)
     if i < n:
@@ -401,44 +395,6 @@ def prob_positions_table(sites, p, d):
             m += site
         for ul, a, b, site in last[prefix[-1] + 1 if prefix else 0:]:
             yield m + site, math.exp(logv + ul - a - b)
-
-
-def _hat_pairs(mvec, kvec):
-    for j in range(1, len(mvec)):
-        yield kvec[j] - kvec[j - 1] - 1, mvec[j] - mvec[j - 1] - 1
-
-
-def conditional_xi_given_labels(m, k, p):
-    """P(xi has particles at every m_j with exactly k_1 particles strictly
-    left of m_1 and k_j - k_{j-1} - 1 strictly between m_{j-1} and m_j).
-
-    This is the xi-event on which the labels k point at the sites m.
-    Returns 0 when some between-window would need more particles than sites.
-    """
-    mvec = tuple(int(v) for v in m)
-    kvec = as_labels(k)
-    d = len(mvec)
-    if d != len(kvec) or d < 1:
-        raise ValueError("m and k must share a positive length")
-    if any(b <= a for a, b in zip(mvec, mvec[1:])):
-        raise ValueError("positions must be strictly increasing")
-    if any(kh > mh for kh, mh in _hat_pairs(mvec, kvec)):
-        return 0.0
-    q, c = p.q, p.c
-    lq = math.log(q)
-    k1 = kvec[0]
-    logv = (k1 + 1) * (c - mvec[0]) * lq + k1 * (k1 + 1) / 2.0 * lq
-    logv -= log_pochhammer_finite(q, q, k1)
-    log_tail, _ = log_neg_pochhammer_infinite(c - mvec[-1], q)
-    logv -= log_tail
-    for j in range(1, d):
-        kh = kvec[j] - kvec[j - 1] - 1
-        mh = mvec[j] - mvec[j - 1] - 1
-        logv += (kh + 1) * (c - mvec[j]) * lq + kh * (kh + 1) / 2.0 * lq
-        logv += log_pochhammer_finite(q, q, mh)
-        logv -= log_pochhammer_finite(q, q, kh)
-        logv -= log_pochhammer_finite(q, q, mh - kh)
-    return math.exp(logv)
 
 
 def mean_and_sem(rows, n):
@@ -608,9 +564,8 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
                            event_log=[] if keep_log else None)
     n_probes = len(probe_times)
     occ, walls = state.occ, state.walls
-    # running rate sums by occ[0], the pattern _wall_rates picks from
-    _wall_rates(state, p.q)
-    sums_by_lo = [sums for _, sums in state._rate_tables[1:]]
+    # running rate sums by occ[0]
+    sums_by_lo = [sums for _, sums in _wall_rates(len(occ) - 1, p.q)]
     exponential, random = rng.exponential, rng.random
     X = second_class_positions(state)
     codes, label_rates = _label_moves(state, p.q)

@@ -31,7 +31,6 @@ from aseplab.coupling import (
     prob_second_class_at,
     run_ensemble,
     sample_pi,
-    conditional_xi_given_labels,
 )
 from aseplab.qseries import pochhammer_finite, pochhammer_infinite, q_pascal_check
 from aseplab.verify import (
@@ -43,6 +42,7 @@ from aseplab.verify import (
     verify_qbinomial,
     verify_qbinomial_exact,
 )
+from test_coupling import conditional_xi_given_labels
 
 Q_GRID = (0.1, 0.5, 0.9)
 C_GRID = (-1.5, 0.0, 2.0)

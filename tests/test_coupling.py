@@ -24,11 +24,9 @@ from aseplab.coupling import (
     LabelOutOfRange,
     SimulationReport,
     Transition,
-    _hat_pairs,
     apply_transition,
     as_labels,
     choose_transition,
-    conditional_xi_given_labels,
     enabled_transitions,
     eta_from,
     labels_from_positions,
@@ -43,7 +41,11 @@ from aseplab.coupling import (
     second_class_positions,
     simulate_stationary,
 )
-from aseplab.qseries import pochhammer_infinite
+from aseplab.qseries import (
+    log_neg_pochhammer_infinite,
+    log_pochhammer_finite,
+    pochhammer_infinite,
+)
 
 
 # a value differing from the run (-20, 20), d=1, q=0.5, c=0, T=1 with
@@ -85,6 +87,44 @@ def gillespie_step(s, p, rng):
     apply_transition it leaves s unchanged and returns a new state."""
     tr, dt = choose_transition(s, p, rng)
     return apply_transition(s.copy(), tr), dt
+
+
+def _hat_pairs(mvec, kvec):
+    for j in range(1, len(mvec)):
+        yield kvec[j] - kvec[j - 1] - 1, mvec[j] - mvec[j - 1] - 1
+
+
+def conditional_xi_given_labels(m, k, p):
+    """P(xi has particles at every m_j with exactly k_1 particles strictly
+    left of m_1 and k_j - k_{j-1} - 1 strictly between m_{j-1} and m_j).
+
+    This is the xi-event on which the labels k point at the sites m.
+    Returns 0 when some between-window would need more particles than sites.
+    """
+    mvec = tuple(int(v) for v in m)
+    kvec = as_labels(k)
+    d = len(mvec)
+    if d != len(kvec) or d < 1:
+        raise ValueError("m and k must share a positive length")
+    if any(b <= a for a, b in zip(mvec, mvec[1:])):
+        raise ValueError("positions must be strictly increasing")
+    if any(kh > mh for kh, mh in _hat_pairs(mvec, kvec)):
+        return 0.0
+    q, c = p.q, p.c
+    lq = math.log(q)
+    k1 = kvec[0]
+    logv = (k1 + 1) * (c - mvec[0]) * lq + k1 * (k1 + 1) / 2.0 * lq
+    logv -= log_pochhammer_finite(q, q, k1)
+    log_tail, _ = log_neg_pochhammer_infinite(c - mvec[-1], q)
+    logv -= log_tail
+    for j in range(1, d):
+        kh = kvec[j] - kvec[j - 1] - 1
+        mh = mvec[j] - mvec[j - 1] - 1
+        logv += (kh + 1) * (c - mvec[j]) * lq + kh * (kh + 1) / 2.0 * lq
+        logv += log_pochhammer_finite(q, q, mh)
+        logv -= log_pochhammer_finite(q, q, kh)
+        logv -= log_pochhammer_finite(q, q, mh - kh)
+    return math.exp(logv)
 
 
 def conditional_xi_given_labels_factored(m, k, p):
@@ -210,6 +250,33 @@ class TestTransitionTable:
         s2 = apply_transition(s, Transition("label", 0, -1))
         assert s2.labels == (0,)
         assert np.array_equal(s2.xi.bits, s.xi.bits)
+
+    @pytest.mark.parametrize(
+        "tr",
+        [
+            Transition("particle", 4, 1),  # into the occupied site 5
+            Transition("particle", 2, 1),  # from the empty site 2
+            Transition("particle", 3, -1),  # from the empty site 3
+            Transition("particle", 1, 2),
+            Transition("particle", 4, -2),
+            Transition("particle", 0, -1),  # across the left edge
+            Transition("particle", 7, 1),  # across the right edge
+            Transition("label", 0, 1),  # onto the labeled particle at 5
+            Transition("label", 1, -1),  # onto the labeled particle at 4
+            Transition("label", 0, -1),  # onto the particle at 1, not adjacent
+            Transition("label", 1, 1),  # onto the particle at 7, not adjacent
+            Transition("label", 0, 5),  # past the last particle
+            Transition("label", 2, 1),  # no such slot
+            Transition("foo", 0, 1),
+        ],
+        ids=str,
+    )
+    def test_apply_refuses_disabled_move(self, tr):
+        s = state_from_sites(0, 7, (0, 1, 4, 5, 7), (2, 3))
+        before = (bytes(s.occ), list(s.occupied), list(s.walls), s.labels)
+        with pytest.raises(ValueError, match="not an enabled move"):
+            apply_transition(s, tr)
+        assert (bytes(s.occ), s.occupied, s.walls, s.labels) == before
 
     @pytest.mark.parametrize("first", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
     def test_rates_take_the_type_of_q(self, first):
@@ -468,16 +535,17 @@ class TestConditionalLaw:
         assert conditional_xi_given_labels_factored(m, k, p) == 0.0
 
     def test_mixture_recovers_position_law(self):
+        # labels with x_d > 45 carry pi mass below 2e-13 for d <= 3, under
+        # 1e-10 of the smallest position probability checked here
         p = AsepParams(q=0.5, c=0.2)
-        m = (-2, 1)
-        total = 0.0
-        for k1 in range(0, 45):
-            for k2 in range(k1 + 1, 46):
-                w = pi_label((k1, k2), p.q)
+        for m in ((0,), (-3,), (-2, 1), (-2, 0, 3), (-1, 0, 1)):
+            total = 0.0
+            for k in itertools.combinations(range(46), len(m)):
+                w = pi_label(k, p.q)
                 if w == 0.0:
                     continue
-                total += w * conditional_xi_given_labels(m, (k1, k2), p)
-        assert total == pytest.approx(prob_positions(m, p), rel=1e-8)
+                total += w * conditional_xi_given_labels(m, k, p)
+            assert total == pytest.approx(prob_positions(m, p), rel=1e-8), m
 
     def test_left_count_c_recursion(self):
         # one-step relation behind the mixture law: condition on whether the

@@ -54,20 +54,22 @@ class CoupledState:
 
     The occupancies live in the bytearray `occ`; `xi.bits` is a numpy view
     of that same buffer.  Construction copies the given window in, so the
-    caller's WindowState is never touched.  `occupied` lists the occupied
-    sites in increasing order.  `walls` lists, in increasing order, the
-    window indices k with occ[k] != occ[k-1]: the domain walls, one per
-    enabled particle hop.  A hop keeps its own bond a wall and toggles only
-    the two bonds beside it, so an event costs O(log walls + d) Python steps
-    rather than a walk over every wall.  Change the state only through
-    apply_transition or simulate, which keep `occ`, `occupied`, `walls` and
-    `labels` consistent.  These fields are all the state holds.
+    caller's WindowState is never touched.  `positions` lists the site of
+    each labeled particle, in slot order; particles never pass each other,
+    so a site moves only with its particle's hop or its label's swap onto
+    the adjacent particle, by the same step.  `walls` lists, in increasing
+    order, the window indices k with occ[k] != occ[k-1]: the domain walls,
+    one per enabled particle hop.  A hop keeps its own bond a wall and
+    toggles only the two bonds beside it, so an event costs O(log walls + d)
+    Python steps rather than a walk over every wall.  Change the state only
+    through apply_transition or simulate, which keep `occ`, `positions`,
+    `walls` and `labels` consistent.  These fields are all the state holds.
     """
 
     xi: WindowState
     labels: tuple
     occ: bytearray = field(init=False, repr=False)
-    occupied: list = field(init=False, repr=False)
+    positions: list = field(init=False, repr=False)
     walls: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -76,13 +78,14 @@ class CoupledState:
         lo, hi = self.xi.lo, self.xi.hi
         occ = self.occ = bytearray(self.xi.bits.tobytes())
         self.xi = WindowState(lo, hi, np.frombuffer(occ, dtype=np.uint8))
-        self.occupied = [lo + i for i, b in enumerate(occ) if b]
+        occupied = [lo + i for i, b in enumerate(occ) if b]
         self.walls = [k for k in range(1, len(occ)) if occ[k] != occ[k - 1]]
-        if self.labels and self.labels[-1] >= len(self.occupied):
+        if self.labels and self.labels[-1] >= len(occupied):
             raise LabelOutOfRange(
                 f"label {self.labels[-1]} but only "
-                f"{len(self.occupied)} particles in window"
+                f"{len(occupied)} particles in window"
             )
+        self.positions = [occupied[x] for x in self.labels]
 
     def copy(self):
         return CoupledState(xi=self.xi, labels=self.labels)
@@ -100,18 +103,18 @@ class Transition(NamedTuple):
 def _wall_rates(n, q):
     """Rates of the particle hops at the walls of a window of n bonds, left
     to right, and their running sums: (rates, sums) if site lo is empty,
-    then (rates, sums) if it is occupied.  A 1->0 wall is a right hop at
-    rate 1, a 0->1 wall a left hop at rate q, and the wall types alternate,
-    so the rates are q, 1, q, ... when site lo is empty and 1, q, 1, ...
-    when it is occupied.  Each list has one entry per bond; the first
+    then (rates, sums) if it holds a particle.  A 1->0 wall is a right hop
+    at rate 1, a 0->1 wall a left hop at rate q, and the wall types
+    alternate, so the rates are q, 1, q, ... when site lo is empty and 1,
+    q, 1, ... when it is not.  Each list has one entry per bond; the first
     len(walls) entries are the live ones."""
     return tuple((rates, list(itertools.accumulate(rates)))
                  for rates in (([q, 1.0] * n)[:n], ([1.0, q] * n)[:n]))
 
 
 def _hop(s, k):
-    """The particle hop across wall k: right from k-1 if that site is
-    occupied, left from k otherwise."""
+    """The particle hop across wall k: right from k-1 if that site holds
+    the particle, left from k otherwise."""
     if s.occ[k - 1]:
         return Transition("particle", s.xi.lo + k - 1, 1)
     return Transition("particle", s.xi.lo + k, -1)
@@ -119,22 +122,19 @@ def _hop(s, k):
 
 def _label_moves(s, q):
     """Enabled label swaps as (slot, step) codes and their rates, by slot,
-    right swap before left swap."""
+    right swap before left swap: a label swaps with the particle on the
+    window site next to its own if that particle is unlabeled."""
     codes, rates = [], []
-    labels = s.labels
-    if labels:
-        occupied = s.occupied
-        n_part = len(occupied)
-        for slot, x in enumerate(labels):
-            site = occupied[x]
-            right = x + 1
-            if right < n_part and occupied[right] == site + 1 and right not in labels:
-                codes.append((slot, 1))
-                rates.append(q)
-            left = x - 1
-            if left >= 0 and occupied[left] == site - 1 and left not in labels:
-                codes.append((slot, -1))
-                rates.append(1.0)
+    occ, positions = s.occ, s.positions
+    lo, n = s.xi.lo, len(occ)
+    for slot, site in enumerate(positions):
+        i = site - lo
+        if i + 1 < n and occ[i + 1] and site + 1 not in positions:
+            codes.append((slot, 1))
+            rates.append(q)
+        if i and occ[i - 1] and site - 1 not in positions:
+            codes.append((slot, -1))
+            rates.append(1.0)
     return codes, rates
 
 
@@ -156,17 +156,17 @@ def enabled_transitions(s, p):
 
 
 def _hop_across(s, w):
-    """Make the hop _hop(s, s.walls[w]) names, keeping occ, occupied and
-    walls consistent.  Returns the particle's rank, which a hop into an
-    adjacent hole keeps."""
-    occ, walls = s.occ, s.walls
+    """Make the hop _hop(s, s.walls[w]) names, keeping occ, positions and
+    walls consistent: a labeled hopper takes its site along."""
+    occ, walls, positions = s.occ, s.walls, s.positions
     k = walls[w]
     step = 1 if occ[k - 1] else -1
     src = k - (step > 0)
     occ[src] = 0
     occ[src + step] = 1
-    rank = bisect_left(s.occupied, s.xi.lo + src)
-    s.occupied[rank] += step
+    site = s.xi.lo + src
+    if site in positions:
+        positions[positions.index(site)] += step
     # the hop's bond k stays a wall; the bonds k-1 and k+1 toggle
     if k + 1 < len(occ):
         if w + 1 < len(walls) and walls[w + 1] == k + 1:
@@ -178,11 +178,11 @@ def _hop_across(s, w):
             del walls[w - 1]
         else:
             walls.insert(w, k - 1)
-    return rank
 
 
 def _move_label(s, slot, step):
     s.labels = s.labels[:slot] + (s.labels[slot] + step,) + s.labels[slot + 1:]
+    s.positions[slot] += step
 
 
 def apply_transition(s, tr):
@@ -238,16 +238,13 @@ def choose_transition(s, p, rng):
 
 
 def second_class_positions(s):
-    """Sites of the labeled particles: label x picks the (x+1)-th particle
-    from the left."""
-    occupied = s.occupied
-    if s.labels and s.labels[-1] >= len(occupied):
-        raise LabelOutOfRange("labels exceed particles present")
-    return tuple(map(occupied.__getitem__, s.labels))
+    """Sites of the labeled particles, in slot order: label x sits on the
+    (x+1)-th particle from the left."""
+    return tuple(s.positions)
 
 
 def labels_from_positions(xi, X):
-    """Inverse of second_class_positions: ranks of the given occupied sites."""
+    """Inverse of second_class_positions: ranks of the particles at the given sites."""
     pos = list(xi.sites[xi.bits == 1])
     try:
         return tuple(pos.index(site) for site in X)
@@ -563,14 +560,13 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
                            x_rows=[Counter()], label_rows=[Counter()],
                            event_log=[] if keep_log else None)
     n_probes = len(probe_times)
-    occ, walls = state.occ, state.walls
+    occ, walls, positions = state.occ, state.walls, state.positions
     # running rate sums by occ[0]
     sums_by_lo = [sums for _, sums in _wall_rates(len(occ) - 1, p.q)]
     exponential, random = rng.exponential, rng.random
-    X = second_class_positions(state)
     codes, label_rates = _label_moves(state, p.q)
-    near = {x + e for x in state.labels for e in (-1, 0, 1)}
-    snaps = [(bytes(occ), X, state.labels, 1)]  # per interval: occ, X, labels, probes
+    # per interval: occ, X, labels, probes
+    snaps = [(bytes(occ), second_class_positions(state), state.labels, 1)]
     idx, n_events, t = 1, 0, 0.0
     while idx < n_probes:
         n = len(walls)
@@ -583,35 +579,31 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
             # probes idx..nxt-1, the ones at or before t, fall in the
             # holding interval that ends here
             nxt = bisect_right(probe_times, t, idx)
-            if X is None:  # a label or a labeled particle moved since the last
-                X = second_class_positions(state)
-            snaps.append((bytes(occ), X, state.labels, nxt - idx))
+            snaps.append((bytes(occ), second_class_positions(state), state.labels,
+                          nxt - idx))
             idx = nxt
             if dt == math.inf:
                 break
         if i < n:
-            b = lo + walls[i] - 1  # the hop is between sites b and b+1
+            k = walls[i]
+            b = lo + k - 1  # the hop is between sites b and b+1
             if keep_log:
-                rep.event_log.append((t, _hop(state, walls[i])))
-            r = _hop_across(state, i)
-            if r in near:
-                labels, occupied = state.labels, state.occupied
-                if r in labels:
-                    X = None
-                # ranks r-1, r toggle adjacency iff r-1 sits at b-1, r, r+1 iff r+1
-                # sits at b+2; the moves change iff such a pair has exactly one label
-                if (r and occupied[r - 1] == b - 1 and (r - 1 in labels) != (r in labels)
-                        or r + 1 < len(occupied) and occupied[r + 1] == b + 2
-                        and (r + 1 in labels) != (r in labels)):
-                    codes, label_rates = _label_moves(state, p.q)
+                rep.event_log.append((t, _hop(state, k)))
+            _hop_across(state, i)
+            # the hopper, now at b + occ[k], left one of the window indices
+            # k-2, k+1 and met the other; the label moves change iff either
+            # holds a particle labeled unlike the hopper
+            mine = b + occ[k] in positions
+            if (k > 1 and occ[k - 2] and (b - 1 in positions) != mine
+                    or k + 1 < len(occ) and occ[k + 1]
+                    and (b + 2 in positions) != mine):
+                codes, label_rates = _label_moves(state, p.q)
         else:
             slot, step = codes[i - n]
             if keep_log:
                 rep.event_log.append((t, Transition("label", slot, step)))
             _move_label(state, slot, step)
-            X = None
             codes, label_rates = _label_moves(state, p.q)
-            near = {x + e for x in state.labels for e in (-1, 0, 1)}
         n_events += 1
     rep.n_events = n_events
 

@@ -273,10 +273,10 @@ class TestTransitionTable:
     )
     def test_apply_refuses_disabled_move(self, tr):
         s = state_from_sites(0, 7, (0, 1, 4, 5, 7), (2, 3))
-        before = (bytes(s.occ), list(s.occupied), list(s.walls), s.labels)
+        before = (bytes(s.occ), list(s.positions), list(s.walls), s.labels)
         with pytest.raises(ValueError, match="not an enabled move"):
             apply_transition(s, tr)
-        assert (bytes(s.occ), s.occupied, s.walls, s.labels) == before
+        assert (bytes(s.occ), s.positions, s.walls, s.labels) == before
 
     @pytest.mark.parametrize("first", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
     def test_rates_take_the_type_of_q(self, first):

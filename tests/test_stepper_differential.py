@@ -7,8 +7,8 @@ it rescans every bond, builds a Transition for every enabled move and
 copies the whole state on each event.  The package's stepper must
 reproduce it exactly -- same enabled moves in the same order, same draws,
 same event log and the same report, field by field -- and keep its
-ordered lists of occupied sites and of domain walls equal to the ones the
-occupancy bits give after every step.
+labeled particles' sites and its ordered list of domain walls equal to the
+ones the occupancy bits and labels give after every step.
 """
 
 from collections import Counter
@@ -198,7 +198,7 @@ EPS = 0.45
 
 def assert_consistent(s):
     bits = s.xi.bits
-    assert s.occupied == (np.flatnonzero(bits) + s.xi.lo).tolist()
+    assert s.positions == (np.flatnonzero(bits) + s.xi.lo)[list(s.labels)].tolist()
     assert s.walls == (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
     assert bytes(bits) == bytes(s.occ)
 

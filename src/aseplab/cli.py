@@ -76,7 +76,9 @@ def _key_prob_line(row):
 def _emit(args, meta, header, rows, line=_csv_line):
     """Serialize one table.  CSV: meta as a single # line, the header, then
     one `line(row)` per row, written as it arrives, so a streamed table is
-    never held; JSON: {"meta", "rows"} with row dicts keyed by the header."""
+    never held; JSON: {"meta", "rows"} with row dicts keyed by the header.
+    A failed write is handled here alone: --out raises ValueError; stdout goes
+    to devnull, then SystemExit(141) for a closed pipe, else ValueError."""
     if args.format == "json":
         payload = {"meta": meta, "rows": [dict(zip(header, r)) for r in rows]}
         lines = [json.dumps(payload, indent=1, sort_keys=True) + "\n"]
@@ -93,9 +95,14 @@ def _emit(args, meta, header, rows, line=_csv_line):
         with out as fh:
             fh.writelines(lines)
             fh.flush()  # the last buffered lines too fail here, not at exit
-    except OSError as e:  # main reports a failed write to stdout
-        err = ValueError(f"cannot write --out {args.out}: {e}") if args.out else e
-        raise err from None
+    except OSError as e:
+        if args.out:
+            raise ValueError(f"cannot write --out {args.out}: {e}") from None
+        # the rest goes to devnull, so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(e, BrokenPipeError):  # the reader left early, as `| head` does
+            raise SystemExit(141) from None  # what a shell reports after SIGPIPE
+        raise ValueError(f"cannot write stdout: {e}") from None
 
 
 def _meta(args, extra=None):
@@ -103,11 +110,9 @@ def _meta(args, extra=None):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "truncation": {"eps": SERIES_EPS, "max_terms": SERIES_MAX_TERMS},
     }
-    for key in ("q", "c", "d", "seed", "tol"):
-        if hasattr(args, key) and getattr(args, key) is not None:
+    for key in ("q", "c", "d", "seed", "tol", "window"):
+        if getattr(args, key, None) is not None:
             meta[key] = getattr(args, key)
-    if getattr(args, "window", None) is not None:
-        meta["window"] = list(args.window)
     if extra:
         meta.update(extra)
     return meta
@@ -460,15 +465,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args.parser, args)
-    except SystemExit as e:  # usage errors, in parsing or in a handler
+    except SystemExit as e:  # usage errors, and a closed stdout pipe
         return int(e.code or 0)
-    except OSError as e:  # only _emit lets one out: writing stdout failed
-        # the rest goes to devnull, so the exit flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(e, BrokenPipeError):  # the reader left early, as `| head` does
-            return 141  # what a shell reports for a writer that SIGPIPE stopped
-        print(f"error: cannot write stdout: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OverflowError) as e:  # bad input, or out of float range
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -311,14 +311,9 @@ def sample_pi(d, q, rng):
     with ratios q^d, q^{d-1}, ..., q: the nested-sum form of the
     normalization read backwards.
     """
-    if d == 0:
-        return ()
-    x = []
-    cur = int(rng.geometric(1.0 - q ** d)) - 1
-    x.append(cur)
-    for j in range(2, d + 1):
-        gap = int(rng.geometric(1.0 - q ** (d + 1 - j))) - 1
-        cur += 1 + gap
+    x, cur = [], -1  # x_0 = -1 makes x_1 the first gap
+    for j in range(1, d + 1):
+        cur += int(rng.geometric(1.0 - q ** (d + 1 - j)))  # 1 + gap
         x.append(cur)
     return tuple(x)
 

@@ -67,8 +67,6 @@ def pochhammer_infinite(a, q):
     """
     qv = _check_q(q)
     av = float(a)
-    if av == 0.0:
-        return 1.0, 0.0
     out = 1.0
     t = av
     for _ in range(SERIES_MAX_TERMS):
@@ -171,8 +169,6 @@ class IntPoly:
         )
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -183,8 +179,6 @@ class IntPoly:
 
     def shift(self, k):
         """Multiply by q^k."""
-        if not self.coeffs:
-            return IntPoly()
         return IntPoly((0,) * k + self.coeffs)
 
     def __eq__(self, other):

@@ -499,6 +499,15 @@ def test_shift_relations_hold():
                         assert chk.rel_dev < 1e-10, (chk, q, c, m, k)
 
 
+def test_shift_relations_where_both_sides_underflow():
+    # 60 particles left of site 0 at q = 0.5: every law underflows to 0.0
+    checks = shift_relation_checks(AsepParams(0.5), 0, 60)
+    assert len(checks) == 6
+    for chk in checks:
+        assert chk.lhs == chk.rhs == 0.0
+        assert chk.rel_dev == 0.0
+
+
 def test_count_dist_accessors():
     d = CountDist(n_min=-1, probs=np.array([0.25, 0.5, 0.25]))
     assert d.prob(-1) == 0.25

@@ -12,7 +12,8 @@ worst is 7.7 ulp from a 60-digit reference, against 15.0 before),
 `simulate-max-contamination` before the contamination verdict moved from
 the ensemble runner to the CLI, `simulate-many-replicas` and
 `simulate-many-replicas-json` before the report kept one row per replica
-in place of running sums; any change to a printed byte (a float's last
+in place of running sums, `numeric-euler-z0` before `pochhammer_infinite`
+dropped its shortcut for a = 0; any change to a printed byte (a float's last
 digit, a row's order, a verdict) or to how a seeded run consumes its random
 stream fails here.
 """
@@ -57,6 +58,11 @@ GOLDEN = {
         ["verify", "--identity", "all", "--q", "0.99", "--z", "3",
          "--n-offset", "-1"],
         "951b18393251b493f127185781799459ea003674a204fffc7383abf3c6e564c7",
+    ),
+    # z = 0: Euler's product is (-0.0; q)_infty, exactly 1 with bound 0
+    "numeric-euler-z0": (
+        ["verify", "--identity", "euler", "--q", "0.5", "--z", "0"],
+        "bcf2bd596e4ca5823b3be857cda4d5717e15a639f03a9f43bcf4ab69ab10db33",
     ),
     "dist-N": (
         ["dist", "--law", "N", "--q", "0.5", "--c", "0.37", "--n=-12:12"],

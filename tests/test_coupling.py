@@ -402,6 +402,11 @@ class TestLabelLaw:
     def test_sample_pi_empty(self):
         assert sample_pi(0, 0.5, np.random.default_rng(0)) == ()
 
+    def test_sample_pi_d0_draws_nothing(self):
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        assert sample_pi(0, 0.5, rng) == ()
+        assert rng.random() == twin.random()
+
     @pytest.mark.parametrize("q", [0.5, 1 / 3, 0.9])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sample_pi_gap_parameters(self, d, q):
@@ -636,6 +641,11 @@ class TestSimulation:
                            eps=0.1, margin=7)
         assert rep.contamination_fraction == 1.0
         assert rep.contaminated_probes == rep.total_probes == 3
+
+    def test_contamination_fraction_without_replicas(self):
+        rep = SimulationReport(0, 1, 1, 0.5, 0.0, 1.0, (0.0,))
+        assert rep.total_probes == 0
+        assert rep.contamination_fraction == 0.0
 
     def test_frozen_window_holds_its_state(self):
         # c far left of the window fills every site (each marginal rounds

@@ -191,6 +191,11 @@ def test_count_distinct_bounded_basics():
         assert count_distinct_bounded(n + 1, k, m) == 0
 
 
+def test_count_distinct_bounded_negative_arguments():
+    assert count_distinct_bounded(-1, 1, 3) == 0
+    assert count_distinct_bounded(2, -1, 3) == 0
+
+
 def test_count_distinct_bounded_vs_enumeration():
     for n in range(0, 14):
         ps = enumerate_partitions(n)

@@ -115,6 +115,15 @@ def test_pochhammer_infinite_not_converged(monkeypatch):
         pochhammer_infinite(0.5, 0.99)
 
 
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.99])
+@pytest.mark.parametrize("a", [0.0, -0.0])
+def test_pochhammer_infinite_at_zero_is_exactly_one(a, q):
+    # verify --identity euler --z 0 reaches a = -0.0
+    value, bound = pochhammer_infinite(a, q)
+    assert (value, bound) == (1.0, 0.0)
+    assert math.copysign(1.0, value) == 1.0 and math.copysign(1.0, bound) == 1.0
+
+
 def test_log_neg_pochhammer_infinite_consistent():
     for x, q in [(0.0, 0.5), (2.5, 0.5), (-3.0, 0.5), (-1.7, 0.9), (4.0, 0.1)]:
         lv, bound = log_neg_pochhammer_infinite(x, q)
@@ -203,6 +212,14 @@ def test_intpoly_arithmetic():
     assert p.shift(2).coeffs == (0, 0, 1, 2)
     assert IntPoly((0, 0)).coeffs == ()
     assert p(2.0) == 5.0
+
+
+def test_intpoly_zero_products_and_shift():
+    p = IntPoly((1, 2))
+    assert IntPoly() * p == IntPoly()
+    assert p * IntPoly() == IntPoly()
+    assert IntPoly() * IntPoly() == IntPoly()
+    assert IntPoly().shift(3) == IntPoly()
 
 
 def test_pochhammer_inversion_grid():

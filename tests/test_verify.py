@@ -131,6 +131,13 @@ class TestQBinomialNumeric:
     def test_grid(self, q, m):
         assert verify_qbinomial(q, 1.3, m).passed
 
+    def test_both_sides_exactly_zero(self):
+        # z = -1 zeroes the product's first factor, and at q = 1/2 the sum
+        # cancels exactly: `verify --identity qbinomial --q 0.5 --z -1`
+        r = verify_qbinomial(0.5, -1.0, 4)
+        assert r.lhs == r.rhs == 0.0
+        assert r.rel_dev == 0.0 and r.passed
+
 
 class TestJacobiNumeric:
     @pytest.mark.parametrize("z,q", [(1.0, 0.5), (2.0, 0.5), (0.7, 0.8), (4.0, 0.1)])

@@ -12,12 +12,11 @@ import numpy as np
 from aseplab.blocking import AsepParams, WindowState
 from aseplab.coupling import (
     CoupledState,
-    enabled_transitions,
-    eta_from,
     pi_detailed_balance_check,
     pi_label,
     sample_pi,
     second_class_positions,
+    simulate,
 )
 
 p = AsepParams(q=0.5, c=0.0)
@@ -26,13 +25,16 @@ p = AsepParams(q=0.5, c=0.0)
 # particle of rank 1 (site -1) carries the tag
 bits = np.array([0, 1, 1, 0, 1, 0, 1, 1])
 state = CoupledState(xi=WindowState(lo=-3, hi=4, bits=bits), labels=(1,))
-print("tagged particle sits at", second_class_positions(state))
+tagged = second_class_positions(state)
+print("tagged particle sits at", tagged)
 print("first class config occupies",
-      [i for i, b in zip(range(-3, 5), eta_from(state).bits) if b])
+      [i for i, b in zip(range(-3, 5), bits) if b and i not in tagged])
 
-print("\nenabled transitions and rates:")
-for tr, rate in enabled_transitions(state, p):
-    print(f"  {tr.kind:8s} idx={tr.idx:2d} step={tr.step:+d}  rate {rate}")
+# a short run from that state, changed in place, logging every event
+rep = simulate(state, p, 2.0, np.random.default_rng(0), keep_log=True)
+print("\nfirst events of a short run:")
+for t, tr in rep.event_log[:6]:
+    print(f"  t={t:.3f}  {tr.kind:8s} idx={tr.idx:2d} step={tr.step:+d}")
 
 # detailed balance pi(x) q = pi(x + e_j), every admissible move up to a cap
 checks = pi_detailed_balance_check(3, p.q, cap=7)

@@ -18,7 +18,7 @@ The label and position laws need only the standard library; numpy is
 imported inside the simulator's functions that build or read arrays.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import reduce
@@ -29,10 +29,6 @@ from typing import NamedTuple
 
 from .blocking import (RelationCheck, WindowState, _log1p_qpow, draw_window,
                        site_profile)
-
-
-class AbsorbingState(Exception):
-    """Total transition rate is zero; the window holds no movable matter."""
 
 
 class LabelOutOfRange(ValueError):
@@ -62,8 +58,8 @@ class CoupledState:
     one per enabled particle hop.  A hop keeps its own bond a wall and
     toggles only the two bonds beside it, so an event costs O(log walls + d)
     Python steps rather than a walk over every wall.  Change the state only
-    through apply_transition or simulate, which keep `occ`, `positions`,
-    `walls` and `labels` consistent.  These fields are all the state holds.
+    through simulate, which keeps `occ`, `positions`, `walls` and `labels`
+    consistent.  These fields are all the state holds.
     """
 
     xi: WindowState
@@ -86,9 +82,6 @@ class CoupledState:
                 f"{len(occupied)} particles in window"
             )
         self.positions = [occupied[x] for x in self.labels]
-
-    def copy(self):
-        return CoupledState(xi=self.xi, labels=self.labels)
 
 
 class Transition(NamedTuple):
@@ -138,23 +131,6 @@ def _label_moves(s, q):
     return codes, rates
 
 
-def enabled_transitions(s, p):
-    """All currently possible moves with their rates, in the fixed order
-    choose_transition draws from: particle hops by wall from left to right,
-    then label swaps by slot, right swap before left swap.
-
-    Particle hops respect exclusion and stay inside the window.  A label
-    swap needs its two particles on adjacent sites and the target particle
-    unlabeled; swaps whose partner particle lies outside the window are
-    dropped with the boundary (the contamination monitor accounts for them).
-    """
-    rates, _ = _wall_rates(len(s.occ) - 1, p.q)[s.occ[0]]
-    moves = [(_hop(s, k), r) for k, r in zip(s.walls, rates)]
-    codes, label_rates = _label_moves(s, p.q)
-    moves += [(Transition("label", *code), r) for code, r in zip(codes, label_rates)]
-    return moves
-
-
 def _hop_across(s, w):
     """Make the hop _hop(s, s.walls[w]) names, keeping occ, positions and
     walls consistent: a labeled hopper takes its site along."""
@@ -185,31 +161,17 @@ def _move_label(s, slot, step):
     s.positions[slot] += step
 
 
-def apply_transition(s, tr):
-    """Apply one enabled move to s in place and return s.  A move that is
-    not enabled raises ValueError and leaves s untouched."""
-    if tr.kind == "particle":
-        k = tr.idx - s.xi.lo + (tr.step > 0)  # the bond the hop crosses
-        w = bisect_left(s.walls, k)
-        if w < len(s.walls) and s.walls[w] == k and _hop(s, k) == tr:
-            _hop_across(s, w)
-            return s
-    elif tr.kind == "label" and (tr.idx, tr.step) in _label_moves(s, 1.0)[0]:
-        _move_label(s, tr.idx, tr.step)
-        return s
-    raise ValueError(f"not an enabled move: {tr}")
-
-
 def _draw(sums, n, label_rates, exponential, random):
     """Exponential holding time at the total rate, then one uniform that
-    picks a move in enabled_transitions order: the n live wall sums first,
-    then the label rates.  Returns (dt, i), where i < n names wall i and
-    i >= n the label move i - n."""
+    picks a move: the n live wall sums first, walls left to right, then the
+    label rates in _label_moves order.  Returns (dt, i), where i < n names
+    wall i and i >= n the label move i - n.  A state with no enabled move
+    holds for ever: (inf, None), and nothing is drawn."""
     acc = total = sums[n - 1] if n else 0.0
     for r in label_rates:
         total += r
     if total <= 0.0:
-        raise AbsorbingState("no enabled transitions")
+        return math.inf, None
     dt = exponential(1.0 / total)
     u = random() * total
     # first move whose running rate sum exceeds u.  For r < 1, u = r*total
@@ -224,40 +186,10 @@ def _draw(sums, n, label_rates, exponential, random):
     return dt, i
 
 
-def choose_transition(s, p, rng):
-    """Exponential holding time at the total rate, then a transition drawn
-    proportionally to its rate, in enabled_transitions order.  Draw order
-    is fixed (holding time first) so trajectories are seed-reproducible."""
-    n = len(s.walls)
-    _, sums = _wall_rates(len(s.occ) - 1, p.q)[s.occ[0]]
-    codes, label_rates = _label_moves(s, p.q)
-    dt, i = _draw(sums, n, label_rates, rng.exponential, rng.random)
-    if i < n:
-        return _hop(s, s.walls[i]), dt
-    return Transition("label", *codes[i - n]), dt
-
-
 def second_class_positions(s):
     """Sites of the labeled particles, in slot order: label x sits on the
     (x+1)-th particle from the left."""
     return tuple(s.positions)
-
-
-def labels_from_positions(xi, X):
-    """Inverse of second_class_positions: ranks of the particles at the given sites."""
-    pos = list(xi.sites[xi.bits == 1])
-    try:
-        return tuple(pos.index(site) for site in X)
-    except ValueError as e:
-        raise ValueError(f"site in {X} holds no particle") from e
-
-
-def eta_from(s):
-    """First-class configuration: xi with the labeled particles removed."""
-    eta = s.xi.copy()
-    for site in second_class_positions(s):
-        eta.bits[site - eta.lo] = 0
-    return eta
 
 
 def _pi_norm(qv, d):
@@ -517,19 +449,6 @@ class SimulationReport:
         return self
 
 
-def simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin=5,
-                        keep_log=False):
-    """One replica: exact (mu^c x pi) start, then simulate from it."""
-    state = _stationary_start(window, site_profile(window, p, eps), d, p.q, rng)
-    return simulate(state, p, T, rng, probes, margin, keep_log)
-
-
-def _stationary_start(window, profile, d, q, rng):
-    """The window drawn against its site profile (sample_blocking's draw),
-    then the labels (sample_pi)."""
-    return CoupledState(xi=draw_window(window, profile, rng), labels=sample_pi(d, q, rng))
-
-
 def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
     """Gillespie from the given state, changed in place, to time T, the
     state recorded at probes+1 evenly spaced times including t=0.
@@ -540,9 +459,10 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
     within `margin` sites of the window edge.  With keep_log, rep.event_log
     lists every event as a (time, Transition) pair.
 
-    Events are drawn and applied as choose_transition and apply_transition
-    do.  The label moves are listed again only when an event changes them,
-    and a holding interval with probes is recorded once, weighted by their count.
+    Each event draws its holding time, then one uniform that picks its move
+    (_draw), so a run is reproducible from its seed.  The label moves are
+    listed again only when an event changes them, and a holding interval
+    with probes is recorded once, weighted by their count.
     """
     import numpy as np
     lo, hi = state.xi.lo, state.xi.hi
@@ -565,10 +485,7 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
     idx, n_events, t = 1, 0, 0.0
     while idx < n_probes:
         n = len(walls)
-        try:
-            dt, i = _draw(sums_by_lo[occ[0]], n, label_rates, exponential, random)
-        except AbsorbingState:  # raised before any draw: the state holds for ever
-            dt = math.inf
+        dt, i = _draw(sums_by_lo[occ[0]], n, label_rates, exponential, random)
         t += dt
         if probe_times[idx] <= t:
             # probes idx..nxt-1, the ones at or before t, fall in the
@@ -634,18 +551,19 @@ def replica_rng(seed, index):
 
 def run_ensemble(p, d, window, T, replicas, seed, probes=10, eps=1e-6, margin=5):
     """Independent replicas with per-replica RNG streams, merged into one
-    report in replica order as each completes.  Each replica is
-    simulate_stationary on its own stream, its window drawn against one
-    site profile computed for the whole ensemble.  The report keeps every
-    replica's rows, so it grows with the replica count.  It carries the
-    contamination count; judging it is the caller's business."""
+    report in replica order as each completes.  Each replica draws its
+    exact (mu^c x pi) start on its own stream, the window against one site
+    profile computed for the whole ensemble and then the labels, and runs
+    simulate from it.  The report keeps every replica's rows, so it grows
+    with the replica count.  It carries the contamination count; judging
+    it is the caller's business."""
     if replicas < 1:
         raise ValueError("need at least one replica")
     profile = site_profile(window, p, eps)
 
     def replica(i):
         rng = replica_rng(seed, i)
-        state = _stationary_start(window, profile, d, p.q, rng)
+        state = CoupledState(draw_window(window, profile, rng), sample_pi(d, p.q, rng))
         return simulate(state, p, T, rng, probes, margin)
 
     return reduce(SimulationReport.merge, map(replica, range(replicas)))

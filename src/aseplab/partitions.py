@@ -80,14 +80,16 @@ def count_partitions(n):
 
 
 def count_bounded(n, max_parts, max_size):
-    """Partitions of n into at most max_parts parts, each at most max_size."""
-    if n < 0:
+    """Partitions of n into at most max_parts parts, each at most max_size.
+    A negative argument counts nothing, as in count_distinct_bounded."""
+    if n < 0 or max_parts < 0 or max_size < 0:
         return 0
     return bounded_counts(n, max_parts, max_size)[n]
 
 
 def bounded_counts(n_max, max_parts, max_size):
-    """[count_bounded(v, max_parts, max_size) for v in 0..n_max] from one DP.
+    """[count_bounded(v, max_parts, max_size) for v in 0..n_max] from one DP,
+    for nonnegative bounds.
 
     DP over allowed part sizes s = 1..max_size with
     B_s(v, j) = B_{s-1}(v, j) + B_s(v - s, j - 1): either no part equals s,
@@ -168,7 +170,8 @@ def count_distinct_bounded(n, k, m):
 
 
 def distinct_bounded_counts(n_max, k, m):
-    """[count_distinct_bounded(v, k, m) for v in 0..n_max] from one DP.
+    """[count_distinct_bounded(v, k, m) for v in 0..n_max] from one DP, for
+    nonnegative k and m.
 
     Each part s = 1..m is used or not; deliberately not derived from the
     q-binomial polynomial so the two can cross-check each other.

@@ -42,7 +42,7 @@ from aseplab.verify import (
     verify_qbinomial,
     verify_qbinomial_exact,
 )
-from test_coupling import conditional_xi_given_labels
+from oracle import conditional_xi_given_labels
 
 Q_GRID = (0.1, 0.5, 0.9)
 C_GRID = (-1.5, 0.0, 2.0)

@@ -2,8 +2,8 @@
 
 Oracles: direct products/sums evaluated with plain floats over ranges wide
 enough that cut tails sit far below the comparison tolerance, a site-by-site
-convolution DP for the left-particle law, and full pattern enumeration for
-windows.
+convolution DP for the left-particle law and for the law of N, the paper's
+Durfee route for the law of N, and full pattern enumeration for windows.
 """
 
 from decimal import Decimal, localcontext
@@ -333,6 +333,62 @@ def test_prob_N_at_shifts():
         assert prob_N_at(1, n, p) == prob_N(n + 1, p)
     total = sum(prob_N_at(3, n, p) for n in range(-40, 41))
     np.testing.assert_allclose(total, 1.0, rtol=1e-10)
+
+
+# (q, c, L): the law of N against the product measure, with the half-width
+# L of the convolution window
+N_CASES = [(0.5, 0.0, 60), (0.5, 0.37, 60), (0.9, -1.3, 400), (0.2, 2.5, 40)]
+
+
+def n_near(c):
+    """The n with |n - c| <= 8."""
+    return range(math.ceil(c - 8), math.floor(c + 8) + 1)
+
+
+@pytest.mark.parametrize("q,c,L", N_CASES)
+def test_prob_N_against_site_convolution(q, c, L):
+    # N = (holes at i > 0) - (particles at i <= 0), convolved site by site
+    # over [-L, L].  The window's N differs from the measure's only when a
+    # particle sits left of -L or a hole right of L, whose probability is
+    # at most sum_{i<-L} marginal(i, 1) + sum_{i>L} marginal(i, 0), and
+    # marginal(i, 1) <= q^(c-i), marginal(i, 0) <= q^(i-c)
+    p = AsepParams(q, c)
+    f = np.zeros(2 * L + 2)  # f[N + L + 1] = P(N) for N in -L-1..L
+    f[L + 1] = 1.0
+    for i in range(-L, L + 1):
+        empty, full = marginal(i, 0, p), marginal(i, 1, p)
+        if i <= 0:  # a particle lowers N by one
+            g = f * empty
+            g[:-1] += f[1:] * full
+        else:  # a hole raises it by one
+            g = f * full
+            g[1:] += f[:-1] * empty
+        f = g
+    tail = (q ** (c + L + 1) + q ** (L + 1 - c)) / (1 - q)
+    ns = n_near(c)
+    for n, got in zip(ns, prob_N_table(ns, p)):
+        assert abs(got - f[n + L + 1]) <= tail + 1e-15, n
+
+
+@pytest.mark.parametrize("q,c", [(q, c) for q, c, _ in N_CASES])
+def test_prob_N_by_the_durfee_route(q, c):
+    # the paper's route: N = H - K for K the particles at or left of 0 and
+    # H the holes right of 0, independent under the product measure, so
+    # P(N = n) = sum_k P(K = k) P(H = n + k).  P(K = k+1) / P(K = k) is
+    # q^(c+k) / (1 - q^(k+1)), which falls with k, so the terms past k = 80
+    # weigh at most P(K = 80) r / (1 - r) for r that ratio at k = 80
+    p = AsepParams(q, c)
+    K = 80
+    ns = n_near(c)
+    want = prob_N_table(ns, p)
+    left = [prob_left_particles(0, k, p) for k in range(K + 1)]
+    right = [prob_right_holes(0, j, p) for j in range(K + ns[-1] + 1)]
+    r = q ** (c + K) / (1 - q ** (K + 1))
+    assert r < 1 and left[K] * r / (1 - r) < 1e-30 * min(want)
+    for n, w in zip(ns, want):
+        durfee = math.fsum(left[k] * right[n + k] for k in range(max(0, -n), K + 1))
+        # each factor is an exp of a log sum, good to about 1e-14 here
+        assert durfee == pytest.approx(w, rel=1e-13, abs=0), n
 
 
 def test_prob_left_particles_k0_product_form():

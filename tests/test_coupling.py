@@ -19,17 +19,11 @@ from aseplab.blocking import (
     sample_blocking,
 )
 from aseplab.coupling import (
-    AbsorbingState,
     CoupledState,
     LabelOutOfRange,
     SimulationReport,
     Transition,
-    apply_transition,
     as_labels,
-    choose_transition,
-    enabled_transitions,
-    eta_from,
-    labels_from_positions,
     mean_and_sem,
     pi_detailed_balance_check,
     pi_label,
@@ -39,12 +33,20 @@ from aseplab.coupling import (
     run_ensemble,
     sample_pi,
     second_class_positions,
-    simulate_stationary,
+    simulate,
 )
-from aseplab.qseries import (
-    log_neg_pochhammer_infinite,
-    log_pochhammer_finite,
-    pochhammer_infinite,
+from aseplab.qseries import pochhammer_infinite
+from oracle import (
+    OracleState,
+    StubRng,
+    assert_consistent,
+    assert_one_event,
+    conditional_xi_given_labels,
+    hat_pairs,
+    midpoint_draw,
+    one_event,
+    oracle_apply_transition,
+    oracle_enabled_transitions,
 )
 
 
@@ -61,11 +63,29 @@ OTHER_LAYOUT = {
 }
 
 
-def state_from_sites(lo, hi, occupied, labels):
+def window_from_sites(lo, hi, occupied):
     bits = np.zeros(hi - lo + 1, dtype=np.uint8)
     for site in occupied:
         bits[site - lo] = 1
-    return CoupledState(xi=WindowState(lo=lo, hi=hi, bits=bits), labels=labels)
+    return WindowState(lo=lo, hi=hi, bits=bits)
+
+
+def state_from_sites(lo, hi, occupied, labels):
+    return CoupledState(xi=window_from_sites(lo, hi, occupied), labels=labels)
+
+
+def stationary_state(p, d, window, rng, eps):
+    """The exact (mu^c x pi) start that run_ensemble draws for a replica:
+    the window, then the labels, from rng."""
+    return CoupledState(sample_blocking(window, p, rng, eps=eps), sample_pi(d, p.q, rng))
+
+
+def eta_of(s):
+    """The first-class configuration: xi with the labeled particles removed."""
+    bits = s.xi.bits.copy()
+    for site in second_class_positions(s):
+        bits[site - s.xi.lo] = 0
+    return WindowState(s.xi.lo, s.xi.hi, bits)
 
 
 P5 = AsepParams(q=0.5, c=0.0)
@@ -82,51 +102,6 @@ class GeometricStub:
         return next(self.values)
 
 
-def gillespie_step(s, p, rng):
-    """One exact continuous-time step of the coupled chain.  Unlike
-    apply_transition it leaves s unchanged and returns a new state."""
-    tr, dt = choose_transition(s, p, rng)
-    return apply_transition(s.copy(), tr), dt
-
-
-def _hat_pairs(mvec, kvec):
-    for j in range(1, len(mvec)):
-        yield kvec[j] - kvec[j - 1] - 1, mvec[j] - mvec[j - 1] - 1
-
-
-def conditional_xi_given_labels(m, k, p):
-    """P(xi has particles at every m_j with exactly k_1 particles strictly
-    left of m_1 and k_j - k_{j-1} - 1 strictly between m_{j-1} and m_j).
-
-    This is the xi-event on which the labels k point at the sites m.
-    Returns 0 when some between-window would need more particles than sites.
-    """
-    mvec = tuple(int(v) for v in m)
-    kvec = as_labels(k)
-    d = len(mvec)
-    if d != len(kvec) or d < 1:
-        raise ValueError("m and k must share a positive length")
-    if any(b <= a for a, b in zip(mvec, mvec[1:])):
-        raise ValueError("positions must be strictly increasing")
-    if any(kh > mh for kh, mh in _hat_pairs(mvec, kvec)):
-        return 0.0
-    q, c = p.q, p.c
-    lq = math.log(q)
-    k1 = kvec[0]
-    logv = (k1 + 1) * (c - mvec[0]) * lq + k1 * (k1 + 1) / 2.0 * lq
-    logv -= log_pochhammer_finite(q, q, k1)
-    log_tail, _ = log_neg_pochhammer_infinite(c - mvec[-1], q)
-    logv -= log_tail
-    for j in range(1, d):
-        kh = kvec[j] - kvec[j - 1] - 1
-        mh = mvec[j] - mvec[j - 1] - 1
-        logv += (kh + 1) * (c - mvec[j]) * lq + kh * (kh + 1) / 2.0 * lq
-        logv += log_pochhammer_finite(q, q, mh)
-        logv -= log_pochhammer_finite(q, q, kh)
-        logv -= log_pochhammer_finite(q, q, mh - kh)
-    return math.exp(logv)
-
-
 def conditional_xi_given_labels_factored(m, k, p):
     """conditional_xi_given_labels assembled from the independent pieces the
     product measure splits it into: site marginals, the left-tail count
@@ -135,7 +110,7 @@ def conditional_xi_given_labels_factored(m, k, p):
     kvec = as_labels(k)
     d = len(mvec)
     assert d == len(kvec) >= 1 and all(a < b for a, b in zip(mvec, mvec[1:]))
-    if any(kh > mh for kh, mh in _hat_pairs(mvec, kvec)):
+    if any(kh > mh for kh, mh in hat_pairs(mvec, kvec)):
         return 0.0
     out = 1.0
     for mj in mvec:
@@ -155,6 +130,11 @@ class TestLabelMapping:
     OCC = (-9, -8, -7, -6, -4, -1, 3, 5, 8, 9, 10)
     LAB = (0, 1, 3, 5, 6)
 
+    @staticmethod
+    def ranks(s, X):
+        """The rank, from the leftmost, of the particle at each site of X."""
+        return tuple(s.xi.sites[s.xi.bits == 1].tolist().index(x) for x in X)
+
     def test_positions(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
         assert second_class_positions(s) == (-9, -8, -6, -1, 3)
@@ -162,11 +142,11 @@ class TestLabelMapping:
     def test_roundtrip(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
         X = second_class_positions(s)
-        assert labels_from_positions(s.xi, X) == self.LAB
+        assert self.ranks(s, X) == self.LAB
 
     def test_eta_removes_labeled(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
-        eta = eta_from(s)
+        eta = eta_of(s)
         remaining = tuple(eta.sites[eta.bits == 1])
         assert remaining == (-7, -4, 5, 8, 9, 10)
         # xi untouched
@@ -174,7 +154,7 @@ class TestLabelMapping:
 
     def test_conserved_N_offset(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
-        eta = eta_from(s)
+        eta = eta_of(s)
         assert s.xi.conserved_N() == -1
         assert eta.conserved_N() == 4
         assert s.xi.conserved_N() == eta.conserved_N() - len(self.LAB)
@@ -189,15 +169,27 @@ class TestLabelMapping:
             d = int(rng.integers(0, min(n, 4) + 1))
             labels = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
             s = CoupledState(xi=WindowState(lo=-10, hi=10, bits=bits), labels=labels)
-            assert labels_from_positions(s.xi, second_class_positions(s)) == labels
+            assert self.ranks(s, second_class_positions(s)) == labels
 
 
 class TestTransitionTable:
+    # the oracle's move tables, checked by hand; one event of simulate must
+    # make each move the oracle lists
     def crafted(self, labels):
-        return state_from_sites(-3, 4, (-2, -1, 1, 3, 4), labels)
+        return OracleState(window_from_sites(-3, 4, (-2, -1, 1, 3, 4)), labels)
+
+    @staticmethod
+    def audit(o):
+        """The oracle's moves from o, once one event of simulate, drawn at
+        the middle of each move's interval, has made that move."""
+        moves = oracle_enabled_transitions(o, P5)
+        total = sum(r for _, r in moves)
+        for tr, _ in moves:
+            assert_one_event(o, P5, midpoint_draw(moves, tr), tr, total)
+        return moves
 
     def test_full_audit_one_label(self):
-        trans = dict(enabled_transitions(self.crafted((1,)), P5))
+        trans = dict(self.audit(self.crafted((1,))))
         expected = {
             Transition("particle", -2, -1): 0.5,
             Transition("particle", -1, 1): 1.0,
@@ -211,141 +203,98 @@ class TestTransitionTable:
     def test_labeled_pair_swap_excluded(self):
         # both adjacent particles labeled: the swap changes nothing, so the
         # move must not appear at all
-        trans = enabled_transitions(self.crafted((0, 1)), P5)
+        trans = self.audit(self.crafted((0, 1)))
         assert all(tr.kind == "particle" for tr, _ in trans)
         assert len(trans) == 5
 
     def test_label_needs_site_adjacency(self):
         # particle 2 sits at site 1, particle 1 at site -1: no right swap
-        trans = enabled_transitions(self.crafted((1,)), P5)
+        trans = self.audit(self.crafted((1,)))
         assert Transition("label", 0, 1) not in dict(trans)
 
     def test_label_right_swap_when_adjacent(self):
-        s = state_from_sites(-3, 4, (-2, 0, 1, 3), (1,))
-        trans = dict(enabled_transitions(s, P5))
+        o = OracleState(window_from_sites(-3, 4, (-2, 0, 1, 3)), (1,))
+        trans = dict(self.audit(o))
         assert trans[Transition("label", 0, 1)] == 0.5
 
     def test_ground_state_interface_only(self):
         bits = np.array([0] * 6 + [1] * 5, dtype=np.uint8)
-        s = CoupledState(xi=WindowState(lo=-5, hi=5, bits=bits), labels=())
-        trans = enabled_transitions(s, P5)
-        assert trans == [(Transition("particle", 1, -1), 0.5)]
+        o = OracleState(xi=WindowState(lo=-5, hi=5, bits=bits), labels=())
+        assert self.audit(o) == [(Transition("particle", 1, -1), 0.5)]
 
     def test_boundary_hops_disabled(self):
         # full window: the rightmost particle may not leave, the frozen
         # particle at hi+1 may not enter
-        bits = np.ones(5, dtype=np.uint8)
-        s = CoupledState(xi=WindowState(lo=1, hi=5, bits=bits), labels=())
-        assert enabled_transitions(s, P5) == []
+        xi = WindowState(lo=1, hi=5, bits=np.ones(5, dtype=np.uint8))
+        assert oracle_enabled_transitions(OracleState(xi=xi, labels=()), P5) == []
+        # so simulate draws nothing and makes no move
+        rng = StubRng(0.5)
+        rep = simulate(CoupledState(xi=xi, labels=()), P5, 1.0, rng, probes=1,
+                       keep_log=True)
+        assert rep.event_log == [] and rng.scale is None
 
     def test_apply_particle_keeps_labels_valid(self):
-        s = self.crafted((1,))
-        s2 = apply_transition(s, Transition("particle", -1, 1))
+        o = self.crafted((1,))
+        s = CoupledState(xi=o.xi, labels=o.labels)
+        tr = Transition("particle", -1, 1)
+        u = midpoint_draw(oracle_enabled_transitions(o, P5), tr)
+        assert one_event(s, P5, u)[0] == tr
         # the labeled particle itself moved; rank ordering is unchanged
-        assert s2.labels == (1,)
-        assert second_class_positions(s2) == (0,)
+        assert s.labels == (1,)
+        assert second_class_positions(s) == (0,)
 
     def test_apply_label(self):
-        s = self.crafted((1,))
-        s2 = apply_transition(s, Transition("label", 0, -1))
-        assert s2.labels == (0,)
-        assert np.array_equal(s2.xi.bits, s.xi.bits)
-
-    @pytest.mark.parametrize(
-        "tr",
-        [
-            Transition("particle", 4, 1),  # into the occupied site 5
-            Transition("particle", 2, 1),  # from the empty site 2
-            Transition("particle", 3, -1),  # from the empty site 3
-            Transition("particle", 1, 2),
-            Transition("particle", 4, -2),
-            Transition("particle", 0, -1),  # across the left edge
-            Transition("particle", 7, 1),  # across the right edge
-            Transition("label", 0, 1),  # onto the labeled particle at 5
-            Transition("label", 1, -1),  # onto the labeled particle at 4
-            Transition("label", 0, -1),  # onto the particle at 1, not adjacent
-            Transition("label", 1, 1),  # onto the particle at 7, not adjacent
-            Transition("label", 0, 5),  # past the last particle
-            Transition("label", 2, 1),  # no such slot
-            Transition("foo", 0, 1),
-        ],
-        ids=str,
-    )
-    def test_apply_refuses_disabled_move(self, tr):
-        s = state_from_sites(0, 7, (0, 1, 4, 5, 7), (2, 3))
-        before = (bytes(s.occ), list(s.positions), list(s.walls), s.labels)
-        with pytest.raises(ValueError, match="not an enabled move"):
-            apply_transition(s, tr)
-        assert (bytes(s.occ), s.positions, s.walls, s.labels) == before
-
-    @pytest.mark.parametrize("first", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
-    def test_rates_take_the_type_of_q(self, first):
-        # Fraction(1, 2) == 0.5, so a rate cache keyed on the value alone
-        # hands the second q the first one's type
-        then = 0.5 if isinstance(first, Fraction) else Fraction(1, 2)
-        s = self.crafted((1,))
-        for q in (first, then, first):
-            moves = enabled_transitions(s, AsepParams(q=q))
-            q_rates = [r for _, r in moves if r != 1]
-            assert len(q_rates) == 3
-            assert all(type(r) is type(q) for r in q_rates), (q, q_rates)
+        o = self.crafted((1,))
+        s = CoupledState(xi=o.xi, labels=o.labels)
+        tr = Transition("label", 0, -1)
+        u = midpoint_draw(oracle_enabled_transitions(o, P5), tr)
+        assert one_event(s, P5, u)[0] == tr
+        assert s.labels == (0,)
+        assert np.array_equal(s.xi.bits, o.xi.bits)
 
 
 class TestGillespie:
+    # simulate from given states; which move an event makes, and the scale
+    # of its holding time, are checked exactly in test_generator_balance.py
     def test_absorbing(self):
         s = CoupledState(
             xi=WindowState(lo=5, hi=8, bits=np.zeros(4, dtype=np.uint8)), labels=()
         )
-        with pytest.raises(AbsorbingState):
-            gillespie_step(s, P5, np.random.default_rng(0))
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        rep = simulate(s, P5, 1.0, rng, probes=3, keep_log=True)
+        assert rep.n_events == 0 and rep.event_log == []
+        assert rep.total_probes == 4
+        assert rng.random() == twin.random()  # nothing was drawn
 
     def test_deterministic_given_seed(self):
-        s = state_from_sites(-3, 4, (-2, -1, 1, 3, 4), (1,))
         runs = []
         for _ in range(2):
-            rng = np.random.default_rng(123)
-            cur = s
-            path = []
-            for _ in range(200):
-                cur, dt = gillespie_step(cur, P5, rng)
-                path.append((dt, cur.labels, cur.xi.bits.tobytes()))
-            runs.append(path)
+            s = state_from_sites(-3, 4, (-2, -1, 1, 3, 4), (1,))
+            rep = simulate(s, P5, 100.0, np.random.default_rng(123), probes=30,
+                           keep_log=True)
+            runs.append((rep.event_log, rep.x_rows, bytes(s.occ), s.labels))
+        assert len(runs[0][0]) >= 200
         assert runs[0] == runs[1]
 
     def test_invariants_along_trajectory(self):
+        # every logged move is one the oracle enables in the state it
+        # leaves, the event times increase, and the labeled particles
+        # always raise N by their number
         p = AsepParams(q=0.5, c=0.0)
         rng = np.random.default_rng(21)
-        from aseplab.blocking import sample_blocking
-
-        xi = sample_blocking((-12, 12), p, rng, eps=1e-3)
-        s = CoupledState(xi=xi, labels=sample_pi(2, p.q, rng))
-        n_part = s.xi.particle_count()
-        for _ in range(500):
-            s, dt = gillespie_step(s, p, rng)
-            assert dt > 0
-            assert s.xi.particle_count() == n_part
-            assert all(a < b for a, b in zip(s.labels, s.labels[1:]))
-            assert s.xi.conserved_N() == eta_from(s).conserved_N() - 2
-
-    def test_selection_frequencies(self):
-        # six enabled moves with rates (q,1,q,1,q,1); the chosen-transition
-        # histogram over repeated draws must match the normalized rates
-        s = state_from_sites(-3, 4, (-2, -1, 1, 3, 4), (1,))
-        trans = enabled_transitions(s, P5)
-        total = sum(r for _, r in trans)
-        rng = np.random.default_rng(2024)
-        n = 30_000
-        counts = {tr: 0 for tr, _ in trans}
-        dts = np.empty(n)
-        for i in range(n):
-            tr, dt = choose_transition(s, P5, rng)
-            counts[tr] += 1
-            dts[i] = dt
-        f_obs = [counts[tr] for tr, _ in trans]
-        f_exp = [n * r / total for _, r in trans]
-        assert stats.chisquare(f_obs, f_exp).pvalue > 0.01
-        # holding time is exponential with mean 1/total
-        assert abs(dts.mean() - 1.0 / total) < 3.5 * (1.0 / total) / math.sqrt(n)
+        s = stationary_state(p, 2, (-12, 12), rng, eps=1e-3)
+        o = OracleState(xi=s.xi.copy(), labels=s.labels)
+        rep = simulate(s, p, 150.0, rng, probes=50, keep_log=True)
+        assert rep.n_events >= 450
+        before = 0.0
+        for t, tr in rep.event_log:
+            assert t > before
+            assert tr in dict(oracle_enabled_transitions(o, p))
+            o = oracle_apply_transition(o, tr)
+            before = t
+        assert bytes(s.occ) == bytes(o.xi.bits) and s.labels == o.labels
+        assert_consistent(s)
+        assert rep.N_violations == 0
 
 
 class TestLabelLaw:
@@ -579,8 +528,9 @@ class TestStateValidation:
             state_from_sites(0, 4, (1, 3), (-1,))
 
     def test_copy_isolated(self):
+        # a state built from another's window copies it
         s = state_from_sites(0, 4, (1, 3), (0,))
-        s2 = s.copy()
+        s2 = CoupledState(xi=s.xi, labels=s.labels)
         s2.xi.bits[0] = 1
         assert s.xi.bits[0] == 0
 
@@ -654,8 +604,8 @@ class TestSimulation:
         reps = []
         for keep_log in (False, True):
             rng = np.random.default_rng(4)
-            reps.append(simulate_stationary(p, 0, (0, 5), 10.0, rng, probes=4,
-                                            eps=1.0, keep_log=keep_log))
+            reps.append(simulate(stationary_state(p, 0, (0, 5), rng, eps=1.0), p,
+                                 10.0, rng, probes=4, keep_log=keep_log))
             # the start sample is the only draw: the stepper takes none
             after_sample = np.random.default_rng(4)
             after_sample.random(6)
@@ -686,8 +636,9 @@ class TestSimulation:
         # and only it, violates N(eta) - N(xi) = d
         monkeypatch.setattr(coupling, "second_class_positions", lambda s: (0,))
         p = AsepParams(q=0.5, c=0.0)
-        rep = simulate_stationary(p, 1, (-20, 20), 20.0, np.random.default_rng(2),
-                                  probes=40, eps=1e-4)
+        rng = np.random.default_rng(2)
+        rep = simulate(stationary_state(p, 1, (-20, 20), rng, eps=1e-4), p, 20.0,
+                       rng, probes=40)
         empty = round((1.0 - rep.xi_rows[0][20]) * rep.total_probes)
         assert 0 < empty < rep.total_probes
         assert rep.N_violations == empty
@@ -711,9 +662,9 @@ class TestSimulation:
         p = AsepParams(q=0.7, c=0.3)
         after_hops = 0
         for seed in range(1, 9):
+            rng = np.random.default_rng([seed, d])
             try:
-                simulate_stationary(p, d, (-16, 16), 10.0,
-                                    np.random.default_rng([seed, d]), eps=0.45)
+                simulate(stationary_state(p, d, (-16, 16), rng, eps=0.45), p, 10.0, rng)
             except LabelOutOfRange:  # the pi sample outranks the particles
                 continue
             for (s0, labels0, moves0), (s1, labels1, moves1) in zip(calls, calls[1:]):
@@ -726,8 +677,8 @@ class TestSimulation:
     @pytest.mark.parametrize("name", list(OTHER_LAYOUT))
     def test_merge_layout_mismatch(self, name):
         p = AsepParams(q=0.5, c=0.0)
-        a = simulate_stationary(p, 1, (-20, 20), 1.0, np.random.default_rng(1), eps=1e-4)
-        b = simulate_stationary(p, 1, (-20, 20), 1.0, np.random.default_rng(2), eps=1e-4)
+        a, b = (simulate(stationary_state(p, 1, (-20, 20), rng, eps=1e-4), p, 1.0, rng)
+                for rng in map(np.random.default_rng, (1, 2)))
         assert getattr(b, name) != OTHER_LAYOUT[name]
         setattr(b, name, OTHER_LAYOUT[name])
         with pytest.raises(ValueError):
@@ -736,9 +687,9 @@ class TestSimulation:
     def test_merge_adds_every_statistic(self):
         p = AsepParams(q=0.5, c=0.0)
         a, b, c = (
-            simulate_stationary(p, 2, (-20, 20), 2.0, np.random.default_rng(s),
-                                probes=6, eps=1e-4)
-            for s in (3, 4, 5)
+            simulate(stationary_state(p, 2, (-20, 20), rng, eps=1e-4), p, 2.0, rng,
+                     probes=6)
+            for rng in map(np.random.default_rng, (3, 4, 5))
         )
         assert b.merge(c) is b  # b now holds two replicas
         assert set(a.x_rows[0]) ^ set(b.x_rows[0])  # keys on one side only
@@ -763,10 +714,12 @@ class TestSimulation:
         assert a.event_log is None
 
     def test_ensemble_rows_are_its_replicas_in_order(self):
-        kw = dict(probes=4, eps=1e-4)
-        rep = run_ensemble(P5, 2, (-20, 20), 2.0, replicas=3, seed=8, **kw)
+        rep = run_ensemble(P5, 2, (-20, 20), 2.0, replicas=3, seed=8, probes=4,
+                           eps=1e-4)
         for i in range(3):
-            one = simulate_stationary(P5, 2, (-20, 20), 2.0, replica_rng(8, i), **kw)
+            rng = replica_rng(8, i)
+            one = simulate(stationary_state(P5, 2, (-20, 20), rng, eps=1e-4), P5, 2.0,
+                           rng, probes=4)
             assert np.array_equal(rep.xi_rows[i], one.xi_rows[0])
             assert np.array_equal(rep.eta_rows[i], one.eta_rows[0])
             assert rep.x_rows[i] == one.x_rows[0]
@@ -774,10 +727,9 @@ class TestSimulation:
 
     def test_event_log(self):
         p = AsepParams(q=0.5, c=0.0)
-        rep = simulate_stationary(
-            p, 1, (-20, 20), 2.0, np.random.default_rng(9), probes=4, eps=1e-4,
-            keep_log=True,
-        )
+        rng = np.random.default_rng(9)
+        rep = simulate(stationary_state(p, 1, (-20, 20), rng, eps=1e-4), p, 2.0, rng,
+                       probes=4, keep_log=True)
         assert rep.event_log
         assert len(rep.event_log) == rep.n_events
         times = [t for t, _ in rep.event_log]
@@ -918,10 +870,10 @@ class TestEventLogReplay:
         kw = dict(probes=15, eps=0.45, margin=12)
         replayed = 0
         for seed in range(1, 6):
+            rng = np.random.default_rng(seed)
             try:
-                rep = simulate_stationary(p, d, (-16, 16), 4.0,
-                                          np.random.default_rng(seed),
-                                          keep_log=True, **kw)
+                rep = simulate(stationary_state(p, d, (-16, 16), rng, eps=0.45), p, 4.0,
+                               rng, probes=15, margin=12, keep_log=True)
             except LabelOutOfRange:  # the pi sample outranks the particles
                 continue
             assert rep.n_events == len(rep.event_log) > 0
@@ -941,8 +893,9 @@ class TestEventLogReplay:
         kw = dict(probes=10, eps=0.9, margin=0)
         frozen = 0
         for seed in range(8):
-            rep = simulate_stationary(p, 0, (0, 1), 5.0, np.random.default_rng(seed),
-                                      keep_log=True, **kw)
+            rng = np.random.default_rng(seed)
+            rep = simulate(stationary_state(p, 0, (0, 1), rng, eps=0.9), p, 5.0, rng,
+                           probes=10, margin=0, keep_log=True)
             want = replay(p, 0, (0, 1), 5.0, seed, log=rep.event_log, **kw)
             assert bits(rep.xi_rows) == bits(want["xi_rows"])
             assert bits(rep.eta_rows) == bits(want["eta_rows"])

@@ -92,6 +92,14 @@ def test_count_bounded_basics():
     assert count_bounded(4, 2, 2) == 1  # only 2+2
 
 
+def test_count_bounded_negative_arguments():
+    # the q-binomial convention: a negative bound counts nothing, the empty
+    # partition included, as count_distinct_bounded does
+    assert count_bounded(2, -1, 3) == 0
+    assert count_bounded(0, 0, -1) == 0
+    assert count_bounded(0, 0, -1) == count_distinct_bounded(0, 0, -1)
+
+
 def test_count_bounded_vs_enumeration():
     for n in range(0, 13):
         ps = enumerate_partitions(n)

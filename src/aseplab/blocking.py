@@ -226,13 +226,22 @@ def prob_N_at(m, n, p):
 def prob_left_particles(m, k, p):
     """P(k particles at or left of site m) under the blocking measure:
     q^{k(c-m)+k(k-1)/2} / ((q;q)_k (-q^{c-m};q)_infty)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    return prob_left_particles_table(m, (k,), p)[0]
+
+
+def prob_left_particles_table(m, ks, p):
+    """[prob_left_particles(m, k, p) for k in ks], the infinite product,
+    common to every k, computed once."""
     lq = math.log(p.q)
-    logp = (k * (p.c - m) + k * (k - 1) / 2.0) * lq
-    logp -= log_pochhammer_finite(p.q, p.q, k)
     log_tail, _ = log_neg_pochhammer_infinite(p.c - m, p.q)
-    return math.exp(logp - log_tail)
+    out = []
+    for k in ks:
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        logp = (k * (p.c - m) + k * (k - 1) / 2.0) * lq
+        logp -= log_pochhammer_finite(p.q, p.q, k)
+        out.append(math.exp(logp - log_tail))
+    return out
 
 
 def prob_window_particles(m1, m2, k, p):
@@ -256,7 +265,13 @@ def prob_window_particles(m1, m2, k, p):
 def prob_right_holes(m, n, p):
     """P(n holes strictly right of site m); equals the left-particle law
     under c -> 2m+1-c by particle-hole symmetry."""
-    return prob_left_particles(m, n, p.with_c(2 * m + 1 - p.c))
+    return prob_right_holes_table(m, (n,), p)[0]
+
+
+def prob_right_holes_table(m, ns, p):
+    """[prob_right_holes(m, n, p) for n in ns], the infinite product
+    computed once."""
+    return prob_left_particles_table(m, ns, p.with_c(2 * m + 1 - p.c))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from datetime import datetime, timezone
 from .blocking import (
     AsepParams,
     marginal,
-    prob_left_particles,
+    prob_left_particles_table,
     prob_N_table,
-    prob_right_holes,
+    prob_right_holes_table,
     prob_window_particles,
 )
 from .coupling import (
@@ -340,8 +340,8 @@ def cmd_dist(parser, args):
     elif args.law == "left-particles":
         span = args.k or (0, 20)
         _require(parser, span[0] >= 0, "k must be >= 0")
-        rows = [(str(k), prob_left_particles(args.m[0], k, p))
-                for k in range(span[0], span[1] + 1)]
+        ks = range(span[0], span[1] + 1)
+        rows = list(zip(map(str, ks), prob_left_particles_table(args.m[0], ks, p)))
     elif args.law == "window-particles":
         _require(parser, args.m1 is not None and args.m2 is not None,
                  "--m1 and --m2 are required")
@@ -355,8 +355,8 @@ def cmd_dist(parser, args):
     elif args.law == "right-holes":
         span = args.n or (0, 20)
         _require(parser, span[0] >= 0, "n must be >= 0")
-        rows = [(str(n), prob_right_holes(args.m[0], n, p))
-                for n in range(span[0], span[1] + 1)]
+        ns = range(span[0], span[1] + 1)
+        rows = list(zip(map(str, ns), prob_right_holes_table(args.m[0], ns, p)))
     elif args.law == "second-class":
         span = args.m or (-10, 10)
         rows = ((str(m), prob_second_class_at(m, p, args.d))

@@ -21,7 +21,7 @@ imported inside the simulator's functions that build or read arrays.
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import lru_cache, reduce
 import itertools
 import math
 import operator
@@ -59,7 +59,8 @@ class CoupledState:
     toggles only the two bonds beside it, so an event costs O(log walls + d)
     Python steps rather than a walk over every wall.  Change the state only
     through simulate, which keeps `occ`, `positions`, `walls` and `labels`
-    consistent.  These fields are all the state holds.
+    consistent and counts its probes where they change.  These fields are
+    all the state holds; it keeps no record of the probes.
     """
 
     xi: WindowState
@@ -93,24 +94,26 @@ class Transition(NamedTuple):
     step: int
 
 
-def _wall_rates(n, q):
-    """Rates of the particle hops at the walls of a window of n bonds, left
-    to right, and their running sums: (rates, sums) if site lo is empty,
-    then (rates, sums) if it holds a particle.  A 1->0 wall is a right hop
-    at rate 1, a 0->1 wall a left hop at rate q, and the wall types
-    alternate, so the rates are q, 1, q, ... when site lo is empty and 1,
-    q, 1, ... when it is not.  Each list has one entry per bond; the first
-    len(walls) entries are the live ones."""
-    return tuple((rates, list(itertools.accumulate(rates)))
-                 for rates in (([q, 1.0] * n)[:n], ([1.0, q] * n)[:n]))
+@lru_cache(maxsize=16, typed=True)
+def _wall_sums(n, q):
+    """Running sums of the particle-hop rates at the walls of a window of n
+    bonds, left to right: the sums if site lo is empty, then the sums if it
+    holds a particle.  A 1->0 wall is a right hop at rate 1, a 0->1 wall a
+    left hop at rate q, and the wall types alternate, so the rates are q, 1,
+    q, ... when site lo is empty and 1, q, 1, ... when it is not.  Each
+    tuple has one entry per bond; the first len(walls) entries are the live
+    ones.  An ensemble builds them once."""
+    return tuple(tuple(itertools.accumulate(([a, b] * n)[:n]))
+                 for a, b in ((q, 1.0), (1.0, q)))
 
 
-def _hop(s, k):
-    """The particle hop across wall k: right from k-1 if that site holds
-    the particle, left from k otherwise."""
-    if s.occ[k - 1]:
-        return Transition("particle", s.xi.lo + k - 1, 1)
-    return Transition("particle", s.xi.lo + k, -1)
+@lru_cache(maxsize=16, typed=True)
+def _probe_times(T, probes):
+    """t = 0 and, if T > 0 and probes >= 1, the probes evenly spaced times
+    up to T.  An ensemble builds them once."""
+    if T > 0 and probes >= 1:
+        return (0.0,) + tuple(i * T / probes for i in range(1, probes + 1))
+    return (0.0,)
 
 
 def _label_moves(s, q):
@@ -129,61 +132,6 @@ def _label_moves(s, q):
             codes.append((slot, -1))
             rates.append(1.0)
     return codes, rates
-
-
-def _hop_across(s, w):
-    """Make the hop _hop(s, s.walls[w]) names, keeping occ, positions and
-    walls consistent: a labeled hopper takes its site along."""
-    occ, walls, positions = s.occ, s.walls, s.positions
-    k = walls[w]
-    step = 1 if occ[k - 1] else -1
-    src = k - (step > 0)
-    occ[src] = 0
-    occ[src + step] = 1
-    site = s.xi.lo + src
-    if site in positions:
-        positions[positions.index(site)] += step
-    # the hop's bond k stays a wall; the bonds k-1 and k+1 toggle
-    if k + 1 < len(occ):
-        if w + 1 < len(walls) and walls[w + 1] == k + 1:
-            del walls[w + 1]
-        else:
-            walls.insert(w + 1, k + 1)
-    if k > 1:
-        if w and walls[w - 1] == k - 1:
-            del walls[w - 1]
-        else:
-            walls.insert(w, k - 1)
-
-
-def _move_label(s, slot, step):
-    s.labels = s.labels[:slot] + (s.labels[slot] + step,) + s.labels[slot + 1:]
-    s.positions[slot] += step
-
-
-def _draw(sums, n, label_rates, exponential, random):
-    """Exponential holding time at the total rate, then one uniform that
-    picks a move: the n live wall sums first, walls left to right, then the
-    label rates in _label_moves order.  Returns (dt, i), where i < n names
-    wall i and i >= n the label move i - n.  A state with no enabled move
-    holds for ever: (inf, None), and nothing is drawn."""
-    acc = total = sums[n - 1] if n else 0.0
-    for r in label_rates:
-        total += r
-    if total <= 0.0:
-        return math.inf, None
-    dt = exponential(1.0 / total)
-    u = random() * total
-    # first move whose running rate sum exceeds u.  For r < 1, u = r*total
-    # rounds below total, the running sum over every move, so i < n when no
-    # label move is enabled, and the label loop always breaks
-    i = bisect_right(sums, u, 0, n)
-    if i == n:
-        for i, r in enumerate(label_rates, n):
-            acc += r
-            if u < acc:
-                break
-    return dt, i
 
 
 def second_class_positions(s):
@@ -456,89 +404,148 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
     The probe at a time inside a holding interval sees the state holding
     there; a state with no enabled move holds for ever, so every later probe
     sees it.  Contamination = probes where some second-class particle sits
-    within `margin` sites of the window edge.  With keep_log, rep.event_log
-    lists every event as a (time, Transition) pair.
+    within `margin` sites of the window edge.  N_violations = probes where
+    the labeled sites are not d distinct occupied sites, so that removing
+    the labeled particles would not raise N by d.  With keep_log,
+    rep.event_log lists every event as a (time, Transition) pair.
 
-    Each event draws its holding time, then one uniform that picks its move
-    (_draw), so a run is reproducible from its seed.  The label moves are
-    listed again only when an event changes them, and a holding interval
-    with probes is recorded once, weighted by their count.
+    Each event draws its holding time, then one uniform that picks its move:
+    the live wall sums first, walls left to right, then the label moves in
+    _label_moves order.  So a run is reproducible from its seed.  The label
+    moves are listed again only when an event changes them.  Probes are
+    counted only where what they see changes, as the number of probe times
+    passed since the last change, and once more at T: a site's occupied
+    probes when its particle leaves, the label vector's probes at a label
+    swap, and the position vector's probes and the violations at a label
+    swap or a hop from or onto a labeled site.  A change that no probe saw
+    counts nothing, so no key gets a count of 0.  Contamination is read off
+    the position vectors' counts at T.
     """
     import numpy as np
     lo, hi = state.xi.lo, state.xi.hi
     d = len(state.labels)
-    if T > 0 and probes >= 1:
-        probe_times = [0.0] + [i * T / probes for i in range(1, probes + 1)]
-    else:
-        probe_times = [0.0]
-    rep = SimulationReport(lo, hi, d, p.q, p.c, T, tuple(probe_times),
+    probe_times = _probe_times(T, probes)
+    rep = SimulationReport(lo, hi, d, p.q, p.c, T, probe_times,
                            x_rows=[Counter()], label_rows=[Counter()],
                            event_log=[] if keep_log else None)
     n_probes = len(probe_times)
     occ, walls, positions = state.occ, state.walls, state.positions
-    # running rate sums by occ[0]
-    sums_by_lo = [sums for _, sums in _wall_rates(len(occ) - 1, p.q)]
+    width = len(occ)
+    sums_by_lo = _wall_sums(width - 1, p.q)
     exponential, random = rng.exponential, rng.random
     codes, label_rates = _label_moves(state, p.q)
-    # per interval: occ, X, labels, probes
-    snaps = [(bytes(occ), second_class_positions(state), state.labels, 1)]
+    x_seen, labels_seen = rep.x_rows[0], rep.label_rows[0]
+    # seen[k] + idx * occ[k] is the number of probes before idx that saw
+    # window index k occupied: a hop adds idx where it leaves, takes idx
+    # off where it lands
+    seen = [0] * width
+    # the position vector and whether it violates, from probe held on, and
+    # the labels from probe labels_held on
+    x = tuple(positions)
+    bad = len({site for site in x if occ[site - lo]}) != d
+    held = labels_held = violations = 0
     idx, n_events, t = 1, 0, 0.0
     while idx < n_probes:
         n = len(walls)
-        dt, i = _draw(sums_by_lo[occ[0]], n, label_rates, exponential, random)
-        t += dt
+        sums = sums_by_lo[occ[0]]
+        acc = total = sums[n - 1] if n else 0.0
+        for r in label_rates:
+            total += r
+        if total <= 0.0:
+            break  # nothing is enabled: the state holds for ever
+        t += exponential(1.0 / total)
+        u = random() * total
+        # first move whose running rate sum exceeds u.  For r < 1, u = r*total
+        # rounds below total, the running sum over every move, so i < n when no
+        # label move is enabled, and the label loop always breaks
+        i = bisect_right(sums, u, 0, n)
+        if i == n:
+            for i, r in enumerate(label_rates, n):
+                acc += r
+                if u < acc:
+                    break
         if probe_times[idx] <= t:
-            # probes idx..nxt-1, the ones at or before t, fall in the
-            # holding interval that ends here
-            nxt = bisect_right(probe_times, t, idx)
-            snaps.append((bytes(occ), second_class_positions(state), state.labels,
-                          nxt - idx))
-            idx = nxt
-            if dt == math.inf:
-                break
+            # probes idx..nxt-1, the ones at or before t, saw the state
+            # that held until this event
+            idx = bisect_right(probe_times, t, idx)
         if i < n:
+            # the particle hop across wall k: right from window index k-1 if
+            # it holds the particle, left from k otherwise
             k = walls[i]
-            b = lo + k - 1  # the hop is between sites b and b+1
+            step = 1 if occ[k - 1] else -1
+            src = k - (step > 0)
+            site = lo + src
             if keep_log:
-                rep.event_log.append((t, _hop(state, k)))
-            _hop_across(state, i)
+                rep.event_log.append((t, Transition("particle", site, step)))
+            moved = site in positions
+            if moved:  # the labeled hopper takes its site along
+                positions[positions.index(site)] += step
+            elif site + step in positions:
+                moved = True
+            occ[src] = 0
+            occ[src + step] = 1
+            seen[src] += idx
+            seen[src + step] -= idx
+            # the hop's bond k stays a wall; the bonds k-1 and k+1 toggle
+            if k + 1 < width:
+                if i + 1 < len(walls) and walls[i + 1] == k + 1:
+                    del walls[i + 1]
+                else:
+                    walls.insert(i + 1, k + 1)
+            if k > 1:
+                if i and walls[i - 1] == k - 1:
+                    del walls[i - 1]
+                else:
+                    walls.insert(i, k - 1)
             # the hopper, now at b + occ[k], left one of the window indices
             # k-2, k+1 and met the other; the label moves change iff either
             # holds a particle labeled unlike the hopper
+            b = lo + k - 1  # the hop is between sites b and b+1
             mine = b + occ[k] in positions
             if (k > 1 and occ[k - 2] and (b - 1 in positions) != mine
-                    or k + 1 < len(occ) and occ[k + 1]
+                    or k + 1 < width and occ[k + 1]
                     and (b + 2 in positions) != mine):
                 codes, label_rates = _label_moves(state, p.q)
         else:
             slot, step = codes[i - n]
             if keep_log:
                 rep.event_log.append((t, Transition("label", slot, step)))
-            _move_label(state, slot, step)
+            labels = state.labels
+            if idx > labels_held:
+                labels_seen[labels] += idx - labels_held
+                labels_held = idx
+            state.labels = labels[:slot] + (labels[slot] + step,) + labels[slot + 1:]
+            positions[slot] += step
             codes, label_rates = _label_moves(state, p.q)
+            moved = True
         n_events += 1
+        if moved:
+            if idx > held:
+                x_seen[x] += idx - held
+                violations += (idx - held) * bad
+                held = idx
+            x = tuple(positions)
+            bad = len({site for site in x if occ[site - lo]}) != d
     rep.n_events = n_events
-
-    # one line per snapshot, weighted by its probes: every sum is an exact
-    # integer before the rows' one division; eta drops the labeled particles
-    xi_snaps, x_seen, labels_seen, ws = zip(*snaps)
-    w = np.array(ws)
-    xi_seen = np.frombuffer(b"".join(xi_snaps), dtype=np.uint8).reshape(len(ws), -1)
-    eta_seen = xi_seen.copy()
     if d:
-        X = np.array(x_seen)
-        eta_seen[np.arange(len(ws))[:, None], X - lo] = 0
-        edge = (X[:, 0] < lo + margin) | (X[:, -1] > hi - margin)
-        rep.contaminated_probes = int(w @ edge)
-        for x, lab, n in zip(x_seen, labels_seen, ws):
-            rep.x_rows[0][x] += n
-            rep.label_rows[0][lab] += n
-    # removing a particle raises N by one, whichever side of 0 it sat on, so
-    # N(eta) - N(xi) = d exactly when the labels removed d particles; eta is
-    # xi with bits cleared, so the unsigned difference cannot wrap
-    rep.N_violations = int(w @ (xi_seen.sum(1) - eta_seen.sum(1) != d))
-    rep.xi_rows.append(w @ xi_seen / n_probes)
-    rep.eta_rows.append(w @ eta_seen / n_probes)
+        if n_probes > held:
+            x_seen[x] += n_probes - held
+        if n_probes > labels_held:
+            labels_seen[state.labels] += n_probes - labels_held
+        rep.contaminated_probes = sum(
+            c for key, c in x_seen.items()
+            if key[0] < lo + margin or key[-1] > hi - margin)
+    rep.N_violations = violations + (n_probes - held) * bad
+
+    # every count is an exact integer before the rows' one division; eta
+    # drops the probes at which a label sat on the site
+    xi = [c + n_probes * b for c, b in zip(seen, occ)]
+    eta = xi.copy()
+    for key, c in x_seen.items():
+        for site in key:
+            eta[site - lo] -= c
+    rep.xi_rows.append(np.array(xi) / n_probes)
+    rep.eta_rows.append(np.array(eta) / n_probes)
     return rep
 
 

@@ -33,7 +33,9 @@ from aseplab.blocking import (
 )
 from aseplab.partitions import SizeLimit, enumerate_partitions
 from aseplab.qseries import (
+    SERIES_EPS,
     TruncationNotConverged,
+    jacobi_triple_product,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -389,6 +391,38 @@ def test_prob_N_by_the_durfee_route(q, c):
         durfee = math.fsum(left[k] * right[n + k] for k in range(max(0, -n), K + 1))
         # each factor is an exp of a log sum, good to about 1e-14 here
         assert durfee == pytest.approx(w, rel=1e-13, abs=0), n
+
+
+@pytest.mark.parametrize("q,c", [(0.5, 0.0), (0.5, 0.37), (0.9, -1.3)])
+def test_prob_N_by_the_jacobi_route(q, c):
+    # the normalizer sum_l q^(l(l+1)/2 - lc) of the law of N is (q;q)_inf
+    # times the site normalizers, prod_{m>=1} (1 + q^(m-c)) for the sites
+    # right of 0 and prod_{m>=1} (1 + q^(m-1+c)) for the others: the
+    # product side of Jacobi's triple product at z = q^-c.  So prob_N(n)
+    # times that product is q^(n(n+1)/2 - nc)
+    p = AsepParams(q, c)
+    z = q ** -c
+    _, product = jacobi_triple_product(z, q)
+    lq, u = math.log(q), 2.0 ** -53
+    starts = (q, -q * z, -1.0 / z)  # (a; q)_inf for a in these
+    # truncation: the three products' dropped tails, as pochhammer_infinite
+    # bounds them, and the normalizer's two wings, each cut at a term below
+    # SERIES_EPS past which the terms fall by a factor q or more, against a
+    # sum of at least 1
+    trunc = (sum(pochhammer_infinite(a, q)[1] for a in starts)
+             + 2 * SERIES_EPS * q / (1 - q))
+    # rounding, to first order in u: each factor 1 - a q^i of a product
+    # takes two roundings and its a q^i, built by i multiplications, i more;
+    # the normalizer has fewer terms than (q;q)_inf has factors, and each
+    # of its powers, additions and the final division takes at most four
+    factors = [max(0, math.ceil(math.log(SERIES_EPS / abs(a)) / lq)) for a in starts]
+    drift = sum(abs(a) * q / (1 - q) ** 2 for a in starts)
+    rounding = 2 * sum(factors) + drift + 4 * factors[0]
+    for n in n_near(c):
+        e = n * (n + 1) / 2 - n * c
+        # the power q^e itself: its exponent and its result are rounded
+        tol = trunc + u * (rounding + 2 + abs(e * lq))
+        assert abs(prob_N(n, p) * product / q ** e - 1) <= tol, n
 
 
 def test_prob_left_particles_k0_product_form():

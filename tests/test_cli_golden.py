@@ -13,9 +13,11 @@ worst is 7.7 ulp from a 60-digit reference, against 15.0 before),
 the ensemble runner to the CLI, `simulate-many-replicas` and
 `simulate-many-replicas-json` before the report kept one row per replica
 in place of running sums, `numeric-euler-z0` before `pochhammer_infinite`
-dropped its shortcut for a = 0; any change to a printed byte (a float's last
-digit, a row's order, a verdict) or to how a seeded run consumes its random
-stream fails here.
+dropped its shortcut for a = 0, `simulate-dense-d2` and
+`simulate-dense-edge` before a replica counted its probes at the change
+points in place of one snapshot per holding interval; any change to a
+printed byte (a float's last digit, a row's order, a verdict) or to how a
+seeded run consumes its random stream fails here.
 """
 
 import hashlib
@@ -142,6 +144,20 @@ GOLDEN = {
         ["simulate", "--q", "0.5", "--window=-25:25", "--d", "1", "--T", "50",
          "--probes", "500", "--replicas", "4", "--seed", "11"],
         "5663162a63df55bbbeb6ec79e2fbe00f6bb90ca6e7a9ab3798aa78f02f4960dc",
+    ),
+    # the benchmark's dense d = 2 geometry: the label and position counts
+    # of two labels, flushed at the change points only
+    "simulate-dense-d2": (
+        ["simulate", "--q", "0.5", "--c", "0", "--window=-25:25", "--d", "2",
+         "--T", "50", "--probes", "500", "--replicas", "4", "--seed", "16"],
+        "a493377665a3c66d9e6e8d085078816b7656175b9f6f45ad01e53ae016ce414b",
+    ),
+    # dense probing of a narrow window: 328 of 1204 probes contaminated, so
+    # the contamination count moves at the change points too
+    "simulate-dense-edge": (
+        ["simulate", "--q", "0.3", "--window=-12:12", "--d", "2", "--T", "100",
+         "--probes", "300", "--replicas", "4", "--margin", "9", "--seed", "18"],
+        "21bca24eb426ce8efc341a5e07c68c09408d3ef71a6bb2844263ad629dae3401",
     ),
     # wide window at q = 0.9: about 20 domain walls per event
     "simulate-wide": (

@@ -630,18 +630,34 @@ class TestSimulation:
                       - WindowState(lo, hi, xi).conserved_N())
             assert gained == int(xi.sum()) - int(eta.sum())
 
-    def test_label_on_an_empty_site_counts_its_probes(self, monkeypatch):
-        # the one label is pointed at site 0 whether or not a particle sits
-        # there; a probe that saw site 0 empty removes no particle, so it,
-        # and only it, violates N(eta) - N(xi) = d
-        monkeypatch.setattr(coupling, "second_class_positions", lambda s: (0,))
+    def test_label_on_an_empty_site_counts_its_probes(self):
+        # the one label is pinned to site 0 whether or not a particle sits
+        # there: its site list ignores every move.  A probe that saw site 0
+        # empty removes no particle, so it, and only it, violates
+        # N(eta) - N(xi) = d; particles hopping into and out of site 0 are
+        # the only changes that tell the count so
+        class Pinned(list):
+            def __setitem__(self, i, v):
+                pass
+
         p = AsepParams(q=0.5, c=0.0)
         rng = np.random.default_rng(2)
-        rep = simulate(stationary_state(p, 1, (-20, 20), rng, eps=1e-4), p, 20.0,
-                       rng, probes=40)
+        state = stationary_state(p, 1, (-20, 20), rng, eps=1e-4)
+        state.positions = Pinned([0])
+        rep = simulate(state, p, 20.0, rng, probes=40)
         empty = round((1.0 - rep.xi_rows[0][20]) * rep.total_probes)
         assert 0 < empty < rep.total_probes
         assert rep.N_violations == empty
+
+    def test_label_on_an_empty_frozen_window_counts_every_probe(self):
+        # no particle, so no move is enabled and nothing changes after t = 0:
+        # every probe, all of them counted at T, sees the label on an empty
+        # site
+        state = state_from_sites(-3, 3, [], ())
+        state.labels, state.positions = (0,), [0]
+        rep = simulate(state, P5, 5.0, np.random.default_rng(0), probes=8)
+        assert rep.n_events == 0
+        assert rep.N_violations == rep.total_probes == 9
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_label_moves_are_refreshed_only_when_a_hop_changes_them(self, d,

@@ -26,7 +26,6 @@ from .qseries import (
     TruncationNotConverged,
     _check_q,
     log_neg_pochhammer_infinite,
-    log_pochhammer_finite,
     log_qbinomial,
 )
 
@@ -231,17 +230,20 @@ def prob_left_particles(m, k, p):
 
 def prob_left_particles_table(m, ks, p):
     """[prob_left_particles(m, k, p) for k in ks], the infinite product,
-    common to every k, computed once."""
+    common to every k, computed once, and log (q;q)_k read from one running
+    sum up to the largest k, so a table costs time linear in its rows."""
     lq = math.log(p.q)
     log_tail, _ = log_neg_pochhammer_infinite(p.c - m, p.q)
-    out = []
-    for k in ks:
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        logp = (k * (p.c - m) + k * (k - 1) / 2.0) * lq
-        logp -= log_pochhammer_finite(p.q, p.q, k)
-        out.append(math.exp(logp - log_tail))
-    return out
+    ks = list(ks)
+    if any(k < 0 for k in ks):
+        raise ValueError("k must be nonnegative")
+    # log_pochhammer_finite(q, q, k)'s own loop, so each prefix has its bits
+    log_qq, aq = [0.0], float(p.q)
+    for _ in range(max(ks, default=0)):
+        log_qq.append(log_qq[-1] + math.log(1.0 - aq))
+        aq *= p.q
+    return [math.exp((k * (p.c - m) + k * (k - 1) / 2.0) * lq - log_qq[k]
+                     - log_tail) for k in ks]
 
 
 def prob_window_particles(m1, m2, k, p):

@@ -9,10 +9,12 @@ output except the timestamp inside the metadata is reproducible.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -99,7 +101,11 @@ def _emit(args, meta, header, rows, line=_csv_line):
         if args.out:
             raise ValueError(f"cannot write --out {args.out}: {e}") from None
         # the rest goes to devnull, so the exit flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         if isinstance(e, BrokenPipeError):  # the reader left early, as `| head` does
             raise SystemExit(141) from None  # what a shell reports after SIGPIPE
         raise ValueError(f"cannot write stdout: {e}") from None
@@ -380,21 +386,7 @@ def cmd_dist(parser, args):
 # ------------------------------------------------------------------ main
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="aseplab",
-        description="Blocking-measure laws, identity checks, and coupled "
-        "second-class simulations for ASEP on Z.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, handler):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        # the handler reports usage errors through its own subparser
-        sp.set_defaults(handler=handler, parser=sp)
-
-    sp = sub.add_parser("verify", help="identity checks")
+def _verify_args(sp):
     sp.add_argument(
         "--identity",
         required=True,
@@ -412,9 +404,9 @@ def build_parser():
              "0.3 s at 25, 2.6 s at 35 and 6.4 s at 40, and minutes at 60")
     sp.add_argument("--K", type=int, default=6, help="exact euler z-degree")
     sp.add_argument("--tol", type=_finite_arg, default=None)
-    common(sp, cmd_verify)
 
-    sp = sub.add_parser("simulate", help="coupled Monte Carlo vs closed forms")
+
+def _simulate_args(sp):
     sp.add_argument("--q", type=_q_arg, required=True)
     sp.add_argument("--c", type=_finite_arg, default=0.0)
     sp.add_argument("--d", type=int, default=1)
@@ -430,9 +422,9 @@ def build_parser():
     sp.add_argument("--margin", type=int, default=5)
     sp.add_argument("--max-contamination", dest="max_contamination",
                     type=_finite_arg, default=None)
-    common(sp, cmd_simulate)
 
-    sp = sub.add_parser("dist", help="tabulate a closed-form law")
+
+def _dist_args(sp):
     sp.add_argument(
         "--law",
         required=True,
@@ -457,13 +449,58 @@ def build_parser():
     sp.add_argument("--k", type=_parse_span, default=None, metavar="K|LO:HI")
     sp.add_argument("--cap", type=int, default=20,
                     help="label support cap for --law pi")
-    common(sp, cmd_dist)
+
+
+# name: (help, arguments, handler) of each subcommand, in the order -h lists them
+_SUBCOMMANDS = {
+    "verify": ("identity checks", _verify_args, cmd_verify),
+    "simulate": ("coupled Monte Carlo vs closed forms", _simulate_args,
+                 cmd_simulate),
+    "dist": ("tabulate a closed-form law", _dist_args, cmd_dist),
+}
+
+
+def _parser(command=None):
+    """The top-level parser with the subparser of `command` alone, or with
+    all of them when command is None; help, usage and errors read the same
+    either way.  Every formatter gets the terminal width read once here,
+    the width HelpFormatter would otherwise read for itself."""
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="aseplab",
+        description="Blocking-measure laws, identity checks, and coupled "
+        "second-class simulations for ASEP on Z.",
+        formatter_class=formatter,
+    )
+    # an error after the subcommand's own arguments, as an unknown option
+    # is, prints the top-level usage, which names every subcommand
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_, add_arguments, handler) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        sp = sub.add_parser(name, help=help_, formatter_class=formatter)
+        add_arguments(sp)
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        # the handler reports usage errors through its own subparser
+        sp.set_defaults(handler=handler, parser=sp)
     return parser
+
+
+def build_parser():
+    """The full parser, every subcommand in it."""
+    return _parser()
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        argv = list(sys.argv[1:] if argv is None else argv)
+        # only the subparser argv names is built; -h, a typo or nothing
+        # gets them all, for the full help or error
+        named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = _parser(named).parse_args(argv)
         return args.handler(args.parser, args)
     except SystemExit as e:  # usage errors, and a closed stdout pipe
         return int(e.code or 0)

@@ -245,13 +245,17 @@ def assert_consistent(s):
 
 
 def assert_same_report(a, b):
-    """Every field equal, the rows row by row and arrays to the dtype."""
+    """Every field equal, the rows row by row and arrays to the dtype; the
+    Counters of x_rows and label_rows as plain dicts, since Counter equality
+    takes a key counted 0 for an absent one."""
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name in ("xi_rows", "eta_rows"):
             assert len(x) == len(y), f.name
             for u, v in zip(x, y):
                 assert u.dtype == v.dtype and np.array_equal(u, v), f.name
+        elif f.name in ("x_rows", "label_rows"):
+            assert list(map(dict, x)) == list(map(dict, y)), f.name
         else:
             assert x == y, f.name
     assert (a.n_replicas, a.total_probes) == (b.n_replicas, b.total_probes)

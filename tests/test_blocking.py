@@ -2,11 +2,13 @@
 
 Oracles: direct products/sums evaluated with plain floats over ranges wide
 enough that cut tails sit far below the comparison tolerance, a site-by-site
-convolution DP for the left-particle law and for the law of N, the paper's
-Durfee route for the law of N, and full pattern enumeration for windows.
+convolution DP for the left-particle law and for the law of N (the latter
+also in exact rational arithmetic), the paper's Durfee route for the law of
+N, and full pattern enumeration for windows.
 """
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -370,6 +372,44 @@ def test_prob_N_against_site_convolution(q, c, L):
     ns = n_near(c)
     for n, got in zip(ns, prob_N_table(ns, p)):
         assert abs(got - f[n + L + 1]) <= tail + 1e-15, n
+
+
+def exact_N_law(q, c, L):
+    """{n: P(N = n)} over the sites of [-L, L] alone, N as in
+    test_prob_N_against_site_convolution, for a Fraction q and an integer
+    c: site i is full with weight b and empty with weight a for
+    q^(i-c) = a/b, so the convolution runs in integers over one common
+    denominator, and every probability is an exact Fraction."""
+    law, denominator = {0: 1}, 1
+    for i in range(-L, L + 1):
+        u = q ** (i - c)
+        empty, full = u.numerator, u.denominator
+        # a particle at i <= 0 lowers N by one, a hole at i > 0 raises it
+        move, stay, step = (full, empty, -1) if i <= 0 else (empty, full, 1)
+        nxt = {}
+        for n, w in law.items():
+            nxt[n] = nxt.get(n, 0) + stay * w
+            nxt[n + step] = nxt.get(n + step, 0) + move * w
+        law, denominator = nxt, denominator * (empty + full)
+    return {n: Fraction(w, denominator) for n, w in law.items()}
+
+
+@pytest.mark.parametrize("q,c,L", [(Fraction(1, 2), 0, 100), (Fraction(1, 2), 3, 100),
+                                   (Fraction(1, 4), -2, 70), (Fraction(1, 4), 1, 70)])
+def test_prob_N_against_exact_site_convolution(q, c, L):
+    # q exact in binary and c an integer, so prob_N's inputs hold q and c
+    # without rounding.  The window's law differs from the measure's by at
+    # most the mass outside it, bounded exactly as in the float convolution
+    # above, and L puts that below an ulp of every row.  The rest is
+    # prob_N's own rounding: 0.47 ulp at most measured on these cases and
+    # at q = 1/8, so two ulps are allowed
+    law = exact_N_law(q, c, L)
+    outside = (q ** (c + L + 1) + q ** (L + 1 - c)) / (1 - q)
+    ns = n_near(c)
+    got = prob_N_table(ns, AsepParams(float(q), float(c)))
+    assert outside < Fraction(math.ulp(min(got)))
+    for n, g in zip(ns, got):
+        assert abs(Fraction(g) - law[n]) <= outside + 2 * Fraction(math.ulp(g)), n
 
 
 @pytest.mark.parametrize("q,c", [(q, c) for q, c, _ in N_CASES])

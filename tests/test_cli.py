@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import aseplab
+from aseplab import cli
 from aseplab.blocking import AsepParams, prob_N
 from aseplab.cli import main
 
@@ -673,6 +675,118 @@ class TestUsage:
         assert "invalid" not in err and not re.search(r"\b_\w", err)
 
 
+# ------------------------------------------ main's parser against the full one
+
+# For each subcommand a valid run, its help, a missing required argument, a
+# bad choice, a bad type and an unknown option; then the argv main answers
+# with the full parser.
+PARITY_ARGV = {
+    "verify-run": ["verify", "--identity", "all", "--q", "0.5", "--n-offset", "2"],
+    "verify-help": ["verify", "-h"],
+    "verify-missing": ["verify", "--q", "0.5"],
+    "verify-choice": ["verify", "--identity", "bogus"],
+    "verify-type": ["verify", "--identity", "all", "--z", "abc"],
+    "verify-unknown": ["verify", "--identity", "all", "--bogus"],
+    "simulate-run": ["simulate", "--q", "0.5", "--window=-5:5", "--seed", "7"],
+    "simulate-help": ["simulate", "--help"],
+    "simulate-missing": ["simulate", "--q", "0.5"],
+    "simulate-choice": ["simulate", "--q", "0.5", "--window=-5:5",
+                        "--format", "xml"],
+    "simulate-type": ["simulate", "--q", "2", "--window=-5:5"],
+    "simulate-unknown": ["simulate", "--q", "0.5", "--window=-5:5",
+                         "--bogus", "1"],
+    "dist-run": ["dist", "--law", "N", "--q", "0.5", "--n=-3:3",
+                 "--format", "json"],
+    "dist-help": ["dist", "-h"],
+    "dist-missing": ["dist", "--law"],
+    "dist-choice": ["dist", "--law", "bogus", "--q", "0.5"],
+    "dist-type": ["dist", "--law", "N", "--q", "0.5", "--k", "a:b"],
+    "dist-unknown": ["dist", "--law", "N", "--q", "0.5", "extra"],
+    "help": ["-h"],
+    "no-arguments": [],
+    "unknown-subcommand": ["distt", "--law", "N"],
+}
+
+
+def subcommands_with(monkeypatch, wrap):
+    """Replace cli's subcommand table by one whose arguments and handler
+    functions are wrap(name, arguments, handler)."""
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", {
+        name: (help_, *wrap(name, add_arguments, handler))
+        for name, (help_, add_arguments, handler) in cli._SUBCOMMANDS.items()})
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("case", PARITY_ARGV)
+def test_main_parses_as_the_full_parser(case, columns, monkeypatch, capsys):
+    # help and usage wrap at the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = PARITY_ARGV[case]
+    seen = []
+    subcommands_with(monkeypatch, lambda name, add_arguments, handler: (
+        add_arguments, lambda parser, args: seen.append(args) or 0))
+
+    def outcome(args, code):
+        out, err = capsys.readouterr()
+        if args is None:
+            return None, out, err, code
+        fields = {k: v for k, v in vars(args).items()
+                  if k not in ("handler", "parser")}
+        # the parser the handler reports its usage errors through
+        return (fields, args.parser.format_help()), out, err, code
+
+    code = main(argv)
+    via_main = outcome(seen[0] if seen else None, code)
+    try:
+        args, code = cli.build_parser().parse_args(argv), 0
+    except SystemExit as e:
+        args, code = None, int(e.code or 0)
+    assert via_main == outcome(args, code)
+    assert (via_main[0] is None) != case.endswith("-run")
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_wraps_as_the_stock_formatter(columns, monkeypatch):
+    # every parser's formatter is handed the width the stock one reads
+    monkeypatch.setenv("COLUMNS", columns)
+    full = cli.build_parser()
+    parsers = [full, *(full.parse_args(PARITY_ARGV[f"{name}-run"]).parser
+                       for name in ("verify", "simulate", "dist"))]
+    for parser in parsers:
+        texts = parser.format_help(), parser.format_usage()
+        parser.formatter_class = argparse.HelpFormatter
+        assert (parser.format_help(), parser.format_usage()) == texts, parser.prog
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
+    built = []
+
+    def spy(name, add_arguments, handler):
+        def traced(sp):
+            built.append(name)
+            add_arguments(sp)
+        return traced, handler
+
+    subcommands_with(monkeypatch, spy)
+    assert main(["dist", "--law", "N", "--q", "0.5", "--out", os.devnull]) == 0
+    assert built == ["dist"]
+    for argv in ([], ["-h"], ["distt"]):
+        built.clear()
+        main(argv)
+        assert built == ["verify", "simulate", "dist"], argv
+    capsys.readouterr()
+
+
+def test_main_reads_sys_argv_or_any_sequence(monkeypatch, tmp_path):
+    argv = ["dist", "--law", "N", "--q", "0.5", "--out"]
+    assert main(tuple(argv + [str(tmp_path / "tuple.csv")])) == 0
+    monkeypatch.setattr(sys, "argv", ["aseplab", *argv, str(tmp_path / "sys.csv")])
+    assert main() == 0
+    tables = [(tmp_path / f).read_text().splitlines()[1:]
+              for f in ("tuple.csv", "sys.csv")]
+    assert tables[0] == tables[1] and len(tables[0]) == 23
+
+
 # A fresh interpreter imports aseplab.cli from the package's own source tree
 # and notes which aseplab modules it loaded and whether numpy is loaded, runs
 # every command of its first list, notes numpy again, then runs the second
@@ -768,6 +882,37 @@ def test_closed_pipe_before_the_last_flush_ends_quietly():
     os.close(write_end)
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+# A fresh interpreter with stdout on /dev/full runs one command through
+# main in process and reports, on stderr, its exit code and the descriptors
+# open before and after it.
+FD_CHILD = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import aseplab.cli as cli
+before = sorted(os.listdir("/proc/self/fd"))
+rc = cli.main(["verify", "--identity", "euler", "--q", "0.5"])
+after = sorted(os.listdir("/proc/self/fd"))
+print(json.dumps([rc, before, after]), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd")
+                         and os.path.exists("/dev/full")),
+                    reason="no /proc/self/fd or no /dev/full")
+def test_failed_write_to_stdout_leaves_no_descriptor_open():
+    # the devnull descriptor that replaces stdout is closed once duplicated
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aseplab.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-I", "-c", FD_CHILD, src],
+                              stdout=full, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0
+    err = proc.stderr.decode().splitlines()
+    assert err[0].startswith("error: cannot write stdout: [Errno 28] ")
+    rc, before, after = json.loads(err[-1])
+    assert rc == 2
+    assert after == before
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -8,9 +8,10 @@ The DP tables behind the exact suites (`bounded_counts`,
 for every total.  The scan-based `durfee_decompose` and the iterative
 `enumerate_partitions` must agree with frozen copies of their earlier
 definitions, and the float kernels (the shared ratio-series sum, the shared
-softplus, the left-to-right sums) with frozen copies of the hand-written
-loops and builtin sums they replaced, bit for bit.  The power tests plant
-one error in what an exact suite is handed and require the suite to fail.
+softplus, the left-to-right sums, the left-particle and right-hole tables)
+with frozen copies of the hand-written loops, builtin sums and per-row
+evaluations they replaced, bit for bit.  The power tests plant one error in
+what an exact suite is handed and require the suite to fail.
 """
 
 import itertools
@@ -26,6 +27,8 @@ from aseplab.blocking import (
     AsepParams,
     _log1p_qpow,
     marginal,
+    prob_left_particles_table,
+    prob_right_holes_table,
     prob_window_particles,
 )
 from aseplab.coupling import (
@@ -48,6 +51,8 @@ from aseplab.partitions import (
 from aseplab.qseries import (
     IntPoly,
     TruncationNotConverged,
+    log_neg_pochhammer_infinite,
+    log_pochhammer_finite,
     log_qbinomial,
     pochhammer_finite,
     pochhammer_infinite,
@@ -207,6 +212,18 @@ def frozen_prob_window_particles(m1, m2, k, p):
     return math.exp(logp)
 
 
+def frozen_prob_left_particles_table(m, ks, p):
+    """The left-particle law row by row, log (q;q)_k taken afresh per row."""
+    lq = math.log(p.q)
+    log_tail, _ = log_neg_pochhammer_infinite(p.c - m, p.q)
+    out = []
+    for k in ks:
+        logp = (k * (p.c - m) + k * (k - 1) / 2.0) * lq
+        logp -= log_pochhammer_finite(p.q, p.q, k)
+        out.append(math.exp(logp - log_tail))
+    return out
+
+
 def frozen_qbinomial_rhs(q, z, m):
     """The finite Euler sum of verify_qbinomial as one builtin sum."""
     return sum(
@@ -290,6 +307,28 @@ def test_window_particles_equals_frozen_builtin_sum(q, c, window):
     for k in range(0, m2 - m1):
         assert (prob_window_particles(m1, m2, k, p)
                 == frozen_prob_window_particles(m1, m2, k, p))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9, 0.999])
+@pytest.mark.parametrize("c", [0.0, 0.37, -2.5])
+def test_left_particles_and_right_holes_tables_equal_frozen_rows(q, c):
+    # the tables read log (q;q)_k from one running sum; each row keeps the
+    # bits of the per-row evaluation, in any row order
+    p = AsepParams(q=q, c=c)
+    ks = [*range(0, 601), 7, 0, 3]
+    for m in (-2, 5):
+        assert (prob_left_particles_table(m, ks, p)
+                == frozen_prob_left_particles_table(m, ks, p))
+        assert (prob_right_holes_table(m, iter(ks), p)
+                == frozen_prob_left_particles_table(m, ks, p.with_c(2 * m + 1 - c)))
+
+
+@pytest.mark.parametrize("table", [prob_left_particles_table,
+                                   prob_right_holes_table])
+def test_left_particles_and_right_holes_tables_reject_negative_rows(table):
+    assert table(0, [], AsepParams(q=0.5)) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        table(0, [3, 0, -1], AsepParams(q=0.5))
 
 
 @builtin_sum_is_a_fold

@@ -233,7 +233,7 @@ def test_simulate_from_given_states_matches_oracle(q, d):
 
 # Six particles in a width-9 window run to T = 5 make a few dozen events, so
 # at 2,000 probes most holding intervals hold dozens of probes, and the
-# package's one snapshot per interval counts for every one of them.
+# package counts each span between change points once, for all its probes.
 FEW = WindowState(-4, 4, np.array([1, 1, 0, 1, 0, 1, 1, 0, 1], dtype=np.uint8))
 
 

@@ -15,7 +15,6 @@ from aseplab.coupling import (
     pi_detailed_balance_check,
     pi_label,
     sample_pi,
-    second_class_positions,
     simulate,
 )
 
@@ -25,16 +24,15 @@ p = AsepParams(q=0.5, c=0.0)
 # particle of rank 1 (site -1) carries the tag
 bits = np.array([0, 1, 1, 0, 1, 0, 1, 1])
 state = CoupledState(xi=WindowState(lo=-3, hi=4, bits=bits), labels=(1,))
-tagged = second_class_positions(state)
+tagged = tuple(state.positions)
 print("tagged particle sits at", tagged)
 print("first class config occupies",
       [i for i, b in zip(range(-3, 5), bits) if b and i not in tagged])
 
-# a short run from that state, changed in place, logging every event
-rep = simulate(state, p, 2.0, np.random.default_rng(0), keep_log=True)
-print("\nfirst events of a short run:")
-for t, tr in rep.event_log[:6]:
-    print(f"  t={t:.3f}  {tr.kind:8s} idx={tr.idx:2d} step={tr.step:+d}")
+# a short run from that state, changed in place
+rep = simulate(state, p, 2.0, np.random.default_rng(0))
+print(f"\na run to t=2 made {rep.n_events} events; the tagged particle "
+      f"ended at site {state.positions[0]}, rank {state.labels[0]}")
 
 # detailed balance pi(x) q = pi(x + e_j), every admissible move up to a cap
 checks = pi_detailed_balance_check(3, p.q, cap=7)

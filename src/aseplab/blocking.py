@@ -237,7 +237,7 @@ def prob_left_particles_table(m, ks, p):
     ks = list(ks)
     if any(k < 0 for k in ks):
         raise ValueError("k must be nonnegative")
-    # log_pochhammer_finite(q, q, k)'s own loop, so each prefix has its bits
+    # log (q;q)_k summed factor by factor in order, so each prefix keeps its bits
     log_qq, aq = [0.0], float(p.q)
     for _ in range(max(ks, default=0)):
         log_qq.append(log_qq[-1] + math.log(1.0 - aq))

@@ -25,7 +25,6 @@ from functools import lru_cache, reduce
 import itertools
 import math
 import operator
-from typing import NamedTuple
 
 from .blocking import (RelationCheck, WindowState, _log1p_qpow, draw_window,
                        site_profile)
@@ -85,15 +84,6 @@ class CoupledState:
         self.positions = [occupied[x] for x in self.labels]
 
 
-class Transition(NamedTuple):
-    """kind 'particle': the particle at site idx hops to idx+step.
-    kind 'label': label slot j=idx moves to particle index x_j + step."""
-
-    kind: str
-    idx: int
-    step: int
-
-
 @lru_cache(maxsize=16, typed=True)
 def _wall_sums(n, q):
     """Running sums of the particle-hop rates at the walls of a window of n
@@ -132,12 +122,6 @@ def _label_moves(s, q):
             codes.append((slot, -1))
             rates.append(1.0)
     return codes, rates
-
-
-def second_class_positions(s):
-    """Sites of the labeled particles, in slot order: label x sits on the
-    (x+1)-th particle from the left."""
-    return tuple(s.positions)
 
 
 def _pi_norm(qv, d):
@@ -313,11 +297,6 @@ class SimulationReport:
     eta_rows: list = field(default_factory=list)
     x_rows: list = field(default_factory=list)
     label_rows: list = field(default_factory=list)
-    event_log: list = None
-
-    @property
-    def width(self):
-        return self.hi - self.lo + 1
 
     @property
     def sites(self):
@@ -383,21 +362,20 @@ class SimulationReport:
         """Add other's replicas after self's and return self.
 
         The fields before n_events give the run layout and must agree.
-        Every later field except event_log is a count, which adds, or a
-        list of rows, which extends: operator.iadd does both.
+        Every later field is a count, which adds, or a list of rows, which
+        extends: operator.iadd does both.
         """
         names = [f.name for f in fields(self)]
         split = names.index("n_events")
         if any(getattr(self, n) != getattr(other, n) for n in names[:split]):
             raise ValueError("cannot merge reports with different run layouts")
         for name in names[split:]:
-            if name != "event_log":
-                mine, theirs = getattr(self, name), getattr(other, name)
-                setattr(self, name, operator.iadd(mine, theirs))
+            setattr(self, name,
+                    operator.iadd(getattr(self, name), getattr(other, name)))
         return self
 
 
-def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
+def simulate(state, p, T, rng, probes=10, margin=5):
     """Gillespie from the given state, changed in place, to time T, the
     state recorded at probes+1 evenly spaced times including t=0.
 
@@ -406,8 +384,7 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
     sees it.  Contamination = probes where some second-class particle sits
     within `margin` sites of the window edge.  N_violations = probes where
     the labeled sites are not d distinct occupied sites, so that removing
-    the labeled particles would not raise N by d.  With keep_log,
-    rep.event_log lists every event as a (time, Transition) pair.
+    the labeled particles would not raise N by d.
 
     Each event draws its holding time, then one uniform that picks its move:
     the live wall sums first, walls left to right, then the label moves in
@@ -426,8 +403,7 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
     d = len(state.labels)
     probe_times = _probe_times(T, probes)
     rep = SimulationReport(lo, hi, d, p.q, p.c, T, probe_times,
-                           x_rows=[Counter()], label_rows=[Counter()],
-                           event_log=[] if keep_log else None)
+                           x_rows=[Counter()], label_rows=[Counter()])
     n_probes = len(probe_times)
     occ, walls, positions = state.occ, state.walls, state.positions
     width = len(occ)
@@ -475,8 +451,6 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
             step = 1 if occ[k - 1] else -1
             src = k - (step > 0)
             site = lo + src
-            if keep_log:
-                rep.event_log.append((t, Transition("particle", site, step)))
             moved = site in positions
             if moved:  # the labeled hopper takes its site along
                 positions[positions.index(site)] += step
@@ -508,8 +482,6 @@ def simulate(state, p, T, rng, probes=10, margin=5, keep_log=False):
                 codes, label_rates = _label_moves(state, p.q)
         else:
             slot, step = codes[i - n]
-            if keep_log:
-                rep.event_log.append((t, Transition("label", slot, step)))
             labels = state.labels
             if idx > labels_held:
                 labels_seen[labels] += idx - labels_held

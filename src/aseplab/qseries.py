@@ -45,20 +45,6 @@ def pochhammer_finite(a, q, n):
     return out
 
 
-def log_pochhammer_finite(a, q, n):
-    """log (a;q)_n for a < 1 where every factor is positive."""
-    qv = _check_q(q)
-    out = 0.0
-    aq = float(a)
-    for _ in range(n):
-        f = 1.0 - aq
-        if f <= 0.0:
-            raise ValueError("log form needs all factors positive")
-        out += math.log(f)
-        aq *= qv
-    return out
-
-
 def pochhammer_infinite(a, q):
     """(a;q)_infty with truncation on |a q^i| < SERIES_EPS.
 

@@ -1,20 +1,24 @@
 """Test oracles for the coupled chain, written apart from the package's stepper.
 
-The stepper here is the earlier per-event one, kept but for the (time,
-Transition) pairs of its event log and for its loop standing apart from its
-stationary start, so that it also runs from a given state: it rescans every
-bond, builds a Transition for every enabled move from the model rules and
-copies the whole state on each event.  The tests take their move rules from
-it and the package's behaviour from `simulate` alone; `one_event` runs
-`simulate` for exactly one event with a stub generator.
+The stepper here is the earlier per-event one, kept but for the log of
+(time, Move) pairs it returns beside its report and for its loop standing
+apart from its stationary start, so that it also runs from a given state: it
+rescans every bond, builds a Move for every enabled move from the model
+rules and copies the whole state on each event.  The tests take their move
+rules from it and the package's behaviour from `simulate` alone, through the
+generator calls a RecordingRng records, the report and the state it leaves;
+`one_event` runs `simulate` for exactly one event with a stub generator and
+reads the move from the state change.
 
 `conditional_xi_given_labels` is the closed form of the xi-event on which
-the labels point at given sites, which the position-law checks mix over pi.
+the labels point at given sites, which the position-law checks mix over pi;
+`log_pochhammer_finite` is its log (a;q)_n.
 """
 
 from collections import Counter
 from dataclasses import dataclass, fields
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,16 +27,24 @@ from aseplab.coupling import (
     CoupledState,
     LabelOutOfRange,
     SimulationReport,
-    Transition,
     as_labels,
     sample_pi,
     simulate,
 )
-from aseplab.qseries import log_neg_pochhammer_infinite, log_pochhammer_finite
+from aseplab.qseries import _check_q, log_neg_pochhammer_infinite
 
 
 class Absorbing(Exception):
     """The oracle's total rate is zero; the window holds no movable matter."""
+
+
+class Move(NamedTuple):
+    """kind 'particle': the particle at site idx hops to idx+step.
+    kind 'label': label slot j=idx moves to particle index x_j + step."""
+
+    kind: str
+    idx: int
+    step: int
 
 
 @dataclass
@@ -66,9 +78,9 @@ def oracle_enabled_transitions(s, p):
     for j in range(xi.width - 1):
         a, b = bits[j], bits[j + 1]
         if a == 1 and b == 0:
-            out.append((Transition("particle", xi.lo + j, 1), 1.0))
+            out.append((Move("particle", xi.lo + j, 1), 1.0))
         elif a == 0 and b == 1:
-            out.append((Transition("particle", xi.lo + j + 1, -1), q))
+            out.append((Move("particle", xi.lo + j + 1, -1), q))
     if s.labels:
         pos = np.flatnonzero(bits) + xi.lo
         n_part = len(pos)
@@ -76,10 +88,10 @@ def oracle_enabled_transitions(s, p):
         for slot, x in enumerate(s.labels):
             right = x + 1
             if right < n_part and right not in label_set and pos[right] == pos[x] + 1:
-                out.append((Transition("label", slot, 1), q))
+                out.append((Move("label", slot, 1), q))
             left = x - 1
             if left >= 0 and left not in label_set and pos[left] == pos[x] - 1:
-                out.append((Transition("label", slot, -1), 1.0))
+                out.append((Move("label", slot, -1), 1.0))
     return out
 
 
@@ -134,17 +146,20 @@ def oracle_simulate_stationary(p, d, window, T, rng, probes=10, eps=1e-6, margin
 
 
 def oracle_simulate(state, p, T, rng, probes=10, margin=5):
+    """The report of a run from state and the run's log of (time, Move)
+    pairs, one per event."""
     lo, hi = state.xi.lo, state.xi.hi
     d = state.d
     if T > 0 and probes >= 1:
         probe_times = [0.0] + [i * T / probes for i in range(1, probes + 1)]
     else:
         probe_times = [0.0]
-    rep = SimulationReport(lo, hi, d, p.q, p.c, T, tuple(probe_times), event_log=[])
+    rep = SimulationReport(lo, hi, d, p.q, p.c, T, tuple(probe_times))
+    log = []
 
     n_probes = len(probe_times)
-    xi_acc = np.zeros(rep.width)
-    eta_acc = np.zeros(rep.width)
+    xi_acc = np.zeros(state.xi.width)
+    eta_acc = np.zeros(state.xi.width)
     x_local = {}
     label_local = {}
 
@@ -171,7 +186,7 @@ def oracle_simulate(state, p, T, rng, probes=10, margin=5):
         while idx < n_probes and probe_times[idx] <= t_next:
             record(idx)
             idx += 1
-        rep.event_log.append((t_next, tr))
+        log.append((t_next, tr))
         state = oracle_apply_transition(state, tr)
         t = t_next
         rep.n_events += 1
@@ -181,10 +196,33 @@ def oracle_simulate(state, p, T, rng, probes=10, margin=5):
     rep.eta_rows.append(eta_acc / n_probes)
     rep.x_rows.append(Counter(x_local))
     rep.label_rows.append(Counter(label_local))
-    return rep
+    return rep, log
 
 
 # ------------------------------------------------- the package, event by event
+
+
+class RecordingRng:
+    """Forwards each draw to default_rng(seed) and records, in call order,
+    the method, its argument and what it returned, an array as a tuple."""
+
+    def __init__(self, seed):
+        self.rng, self.record = np.random.default_rng(seed), []
+
+    def _draw(self, name, arg):
+        out = getattr(self.rng, name)(arg)
+        kept = tuple(out.tolist()) if isinstance(out, np.ndarray) else out
+        self.record.append((name, arg, kept))
+        return out
+
+    def exponential(self, scale):
+        return self._draw("exponential", scale)
+
+    def random(self, size=None):
+        return self._draw("random", size)
+
+    def geometric(self, p):
+        return self._draw("geometric", p)
 
 
 class StubRng:
@@ -205,11 +243,26 @@ def one_event(state, p, u):
     """Step the CoupledState state, in place, by exactly one event of
     simulate, its move picked by the uniform draw u.  Returns the move and
     the scale of the holding time's draw.  With one probe at T = 1 and a
-    holding time of 2, simulate records t = 0, makes the one move and stops."""
+    holding time of 2, simulate records t = 0, makes the one move and stops.
+
+    The move is read from the state change: a hop empties one site and fills
+    the adjacent one, and leaves the labels; a label swap moves one label by
+    one and leaves the occupancies."""
     rng = StubRng(u)
-    rep = simulate(state, p, 1.0, rng, probes=1, keep_log=True)
-    (_, tr), = rep.event_log
-    return tr, rng.scale
+    occ, labels = bytes(state.occ), state.labels
+    assert simulate(state, p, 1.0, rng, probes=1).n_events == 1
+    sites = [i for i, (a, b) in enumerate(zip(occ, state.occ)) if a != b]
+    slots = [j for j, (a, b) in enumerate(zip(labels, state.labels)) if a != b]
+    if sites:
+        assert not slots and len(sites) == 2 and sites[1] == sites[0] + 1, sites
+        i = sites[0]
+        step = 1 if occ[i] else -1
+        move = Move("particle", state.xi.lo + i + (step < 0), step)
+    else:
+        slot, = slots
+        move = Move("label", slot, state.labels[slot] - labels[slot])
+        assert abs(move.step) == 1, move
+    return move, rng.scale
 
 
 def midpoint_draw(moves, tr):
@@ -262,6 +315,20 @@ def assert_same_report(a, b):
 
 
 # ------------------------------------------------------- the conditional law
+
+
+def log_pochhammer_finite(a, q, n):
+    """log (a;q)_n for a < 1 where every factor is positive."""
+    qv = _check_q(q)
+    out = 0.0
+    aq = float(a)
+    for _ in range(n):
+        f = 1.0 - aq
+        if f <= 0.0:
+            raise ValueError("log form needs all factors positive")
+        out += math.log(f)
+        aq *= qv
+    return out
 
 
 def hat_pairs(mvec, kvec):

@@ -3,8 +3,8 @@
 Oracles: direct products/sums evaluated with plain floats over ranges wide
 enough that cut tails sit far below the comparison tolerance, a site-by-site
 convolution DP for the left-particle law and for the law of N (the latter
-also in exact rational arithmetic), the paper's Durfee route for the law of
-N, and full pattern enumeration for windows.
+also in exact rational arithmetic, as is the window law), the paper's
+Durfee route for the law of N, and full pattern enumeration for windows.
 """
 
 from decimal import Decimal, localcontext
@@ -38,6 +38,7 @@ from aseplab.qseries import (
     SERIES_EPS,
     TruncationNotConverged,
     jacobi_triple_product,
+    log_qbinomial,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -410,6 +411,53 @@ def test_prob_N_against_exact_site_convolution(q, c, L):
     assert outside < Fraction(math.ulp(min(got)))
     for n, g in zip(ns, got):
         assert abs(Fraction(g) - law[n]) <= outside + 2 * Fraction(math.ulp(g)), n
+
+
+def exact_window_law(q, c, first, n):
+    """[P(k of the sites first..first+n-1 are full) for k = 0..n], exact,
+    for a Fraction q and an integer c, with the site weights of
+    exact_N_law convolved in integers over one common denominator."""
+    law, denominator = [1], 1
+    for i in range(first, first + n):
+        u = q ** (i - c)
+        empty, full = u.numerator, u.denominator
+        nxt = [0] * (len(law) + 1)
+        for k, w in enumerate(law):
+            nxt[k] += empty * w
+            nxt[k + 1] += full * w
+        law, denominator = nxt, denominator * (empty + full)
+    return [Fraction(w, denominator) for w in law]
+
+
+# prob_window_particles is exp(A - B + C): A the exponent term, B the
+# normalizer sum and C log_qbinomial.  Rounding each is good to a few ulps
+# of its own size, and exp turns that absolute error into a relative one,
+# so the bound is K (1 + |A| + |B| + |C|) ulps.  K reached 3.66 over the
+# 3,528 rows below, and 4.95 over 21,224 rows with every first site from
+# c - n - 3 to c + 3; K = 8 leaves a margin.  Right of c, A and B cancel:
+# 420 ulps at q = 1/4, c = 2, sites 4..16, k = 13, where both are about
+# 144 (ROADMAP item 8)
+WINDOW_ULPS_K = 8
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 4)])
+@pytest.mark.parametrize("c", [-3, 0, 2, 5])
+def test_prob_window_particles_against_exact_site_convolution(q, c):
+    # q exact in binary and c an integer, so the function's inputs hold q
+    # and c without rounding, and a window is finite: no truncation
+    p = AsepParams(float(q), float(c))
+    lq = math.log(p.q)
+    for n in range(3, 17):
+        # windows left of c, around c and right of c
+        for first in (c - n - 1, c - n // 2, c + 2):
+            m1, m2 = first - 1, first + n
+            B = sum(blocking._log1p_qpow(p.c + 1 - m2 + i, lq) for i in range(n))
+            for k, exact in enumerate(exact_window_law(q, c, first, n)):
+                got = prob_window_particles(m1, m2, k, p)
+                A = (k * (p.c + 1 - m2) + k * (k - 1) / 2.0) * lq
+                C = log_qbinomial(n, k, p.q)
+                ulps = abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+                assert ulps <= WINDOW_ULPS_K * (1 + abs(A) + abs(B) + abs(C)), (n, first, k)
 
 
 @pytest.mark.parametrize("q,c", [(q, c) for q, c, _ in N_CASES])

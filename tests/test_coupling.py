@@ -2,6 +2,7 @@ from collections import Counter
 import copy
 import dataclasses
 from fractions import Fraction
+import functools
 import itertools
 import math
 
@@ -22,7 +23,6 @@ from aseplab.coupling import (
     CoupledState,
     LabelOutOfRange,
     SimulationReport,
-    Transition,
     as_labels,
     mean_and_sem,
     pi_detailed_balance_check,
@@ -32,12 +32,14 @@ from aseplab.coupling import (
     replica_rng,
     run_ensemble,
     sample_pi,
-    second_class_positions,
     simulate,
 )
 from aseplab.qseries import pochhammer_infinite
 from oracle import (
+    Absorbing,
+    Move,
     OracleState,
+    RecordingRng,
     StubRng,
     assert_consistent,
     assert_one_event,
@@ -47,6 +49,7 @@ from oracle import (
     one_event,
     oracle_apply_transition,
     oracle_enabled_transitions,
+    oracle_simulate_stationary,
 )
 
 
@@ -83,7 +86,7 @@ def stationary_state(p, d, window, rng, eps):
 def eta_of(s):
     """The first-class configuration: xi with the labeled particles removed."""
     bits = s.xi.bits.copy()
-    for site in second_class_positions(s):
+    for site in s.positions:
         bits[site - s.xi.lo] = 0
     return WindowState(s.xi.lo, s.xi.hi, bits)
 
@@ -137,12 +140,11 @@ class TestLabelMapping:
 
     def test_positions(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
-        assert second_class_positions(s) == (-9, -8, -6, -1, 3)
+        assert s.positions == [-9, -8, -6, -1, 3]
 
     def test_roundtrip(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
-        X = second_class_positions(s)
-        assert self.ranks(s, X) == self.LAB
+        assert self.ranks(s, s.positions) == self.LAB
 
     def test_eta_removes_labeled(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
@@ -169,7 +171,7 @@ class TestLabelMapping:
             d = int(rng.integers(0, min(n, 4) + 1))
             labels = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
             s = CoupledState(xi=WindowState(lo=-10, hi=10, bits=bits), labels=labels)
-            assert self.ranks(s, second_class_positions(s)) == labels
+            assert self.ranks(s, s.positions) == labels
 
 
 class TestTransitionTable:
@@ -191,12 +193,12 @@ class TestTransitionTable:
     def test_full_audit_one_label(self):
         trans = dict(self.audit(self.crafted((1,))))
         expected = {
-            Transition("particle", -2, -1): 0.5,
-            Transition("particle", -1, 1): 1.0,
-            Transition("particle", 1, -1): 0.5,
-            Transition("particle", 1, 1): 1.0,
-            Transition("particle", 3, -1): 0.5,
-            Transition("label", 0, -1): 1.0,
+            Move("particle", -2, -1): 0.5,
+            Move("particle", -1, 1): 1.0,
+            Move("particle", 1, -1): 0.5,
+            Move("particle", 1, 1): 1.0,
+            Move("particle", 3, -1): 0.5,
+            Move("label", 0, -1): 1.0,
         }
         assert trans == expected
 
@@ -210,17 +212,17 @@ class TestTransitionTable:
     def test_label_needs_site_adjacency(self):
         # particle 2 sits at site 1, particle 1 at site -1: no right swap
         trans = self.audit(self.crafted((1,)))
-        assert Transition("label", 0, 1) not in dict(trans)
+        assert Move("label", 0, 1) not in dict(trans)
 
     def test_label_right_swap_when_adjacent(self):
         o = OracleState(window_from_sites(-3, 4, (-2, 0, 1, 3)), (1,))
         trans = dict(self.audit(o))
-        assert trans[Transition("label", 0, 1)] == 0.5
+        assert trans[Move("label", 0, 1)] == 0.5
 
     def test_ground_state_interface_only(self):
         bits = np.array([0] * 6 + [1] * 5, dtype=np.uint8)
         o = OracleState(xi=WindowState(lo=-5, hi=5, bits=bits), labels=())
-        assert self.audit(o) == [(Transition("particle", 1, -1), 0.5)]
+        assert self.audit(o) == [(Move("particle", 1, -1), 0.5)]
 
     def test_boundary_hops_disabled(self):
         # full window: the rightmost particle may not leave, the frozen
@@ -229,24 +231,23 @@ class TestTransitionTable:
         assert oracle_enabled_transitions(OracleState(xi=xi, labels=()), P5) == []
         # so simulate draws nothing and makes no move
         rng = StubRng(0.5)
-        rep = simulate(CoupledState(xi=xi, labels=()), P5, 1.0, rng, probes=1,
-                       keep_log=True)
-        assert rep.event_log == [] and rng.scale is None
+        rep = simulate(CoupledState(xi=xi, labels=()), P5, 1.0, rng, probes=1)
+        assert rep.n_events == 0 and rng.scale is None
 
     def test_apply_particle_keeps_labels_valid(self):
         o = self.crafted((1,))
         s = CoupledState(xi=o.xi, labels=o.labels)
-        tr = Transition("particle", -1, 1)
+        tr = Move("particle", -1, 1)
         u = midpoint_draw(oracle_enabled_transitions(o, P5), tr)
         assert one_event(s, P5, u)[0] == tr
         # the labeled particle itself moved; rank ordering is unchanged
         assert s.labels == (1,)
-        assert second_class_positions(s) == (0,)
+        assert s.positions == [0]
 
     def test_apply_label(self):
         o = self.crafted((1,))
         s = CoupledState(xi=o.xi, labels=o.labels)
-        tr = Transition("label", 0, -1)
+        tr = Move("label", 0, -1)
         u = midpoint_draw(oracle_enabled_transitions(o, P5), tr)
         assert one_event(s, P5, u)[0] == tr
         assert s.labels == (0,)
@@ -260,38 +261,35 @@ class TestGillespie:
         s = CoupledState(
             xi=WindowState(lo=5, hi=8, bits=np.zeros(4, dtype=np.uint8)), labels=()
         )
-        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
-        rep = simulate(s, P5, 1.0, rng, probes=3, keep_log=True)
-        assert rep.n_events == 0 and rep.event_log == []
-        assert rep.total_probes == 4
-        assert rng.random() == twin.random()  # nothing was drawn
+        rng = RecordingRng(0)
+        rep = simulate(s, P5, 1.0, rng, probes=3)
+        assert rep.n_events == 0 and rep.total_probes == 4
+        assert rng.record == []  # nothing was drawn
 
     def test_deterministic_given_seed(self):
         runs = []
         for _ in range(2):
             s = state_from_sites(-3, 4, (-2, -1, 1, 3, 4), (1,))
-            rep = simulate(s, P5, 100.0, np.random.default_rng(123), probes=30,
-                           keep_log=True)
-            runs.append((rep.event_log, rep.x_rows, bytes(s.occ), s.labels))
-        assert len(runs[0][0]) >= 200
+            rng = RecordingRng(123)
+            rep = simulate(s, P5, 100.0, rng, probes=30)
+            runs.append((rng.record, rep.n_events, rep.x_rows, bytes(s.occ), s.labels))
+        assert runs[0][1] >= 200
         assert runs[0] == runs[1]
 
     def test_invariants_along_trajectory(self):
-        # every logged move is one the oracle enables in the state it
-        # leaves, the event times increase, and the labeled particles
-        # always raise N by their number
+        # from one stationary start, simulate draws what the oracle draws
+        # and ends in the state the oracle's moves give, and its labeled
+        # particles always raise N by their number
         p = AsepParams(q=0.5, c=0.0)
-        rng = np.random.default_rng(21)
+        rng, want_rng = RecordingRng(21), RecordingRng(21)
         s = stationary_state(p, 2, (-12, 12), rng, eps=1e-3)
-        o = OracleState(xi=s.xi.copy(), labels=s.labels)
-        rep = simulate(s, p, 150.0, rng, probes=50, keep_log=True)
-        assert rep.n_events >= 450
-        before = 0.0
-        for t, tr in rep.event_log:
-            assert t > before
-            assert tr in dict(oracle_enabled_transitions(o, p))
-            o = oracle_apply_transition(o, tr)
-            before = t
+        start = OracleState(xi=s.xi.copy(), labels=s.labels)
+        rep = simulate(s, p, 150.0, rng, probes=50)
+        _, log = oracle_simulate_stationary(p, 2, (-12, 12), 150.0, want_rng,
+                                            probes=50, eps=1e-3)
+        assert rng.record == want_rng.record
+        assert rep.n_events == len(log) >= 450
+        o = functools.reduce(oracle_apply_transition, (tr for _, tr in log), start)
         assert bytes(s.occ) == bytes(o.xi.bits) and s.labels == o.labels
         assert_consistent(s)
         assert rep.N_violations == 0
@@ -601,22 +599,15 @@ class TestSimulation:
         # c far left of the window fills every site (each marginal rounds
         # to 1), so no move is ever enabled
         p = AsepParams(q=0.5, c=-60.0)
-        reps = []
-        for keep_log in (False, True):
-            rng = np.random.default_rng(4)
-            reps.append(simulate(stationary_state(p, 0, (0, 5), rng, eps=1.0), p,
-                                 10.0, rng, probes=4, keep_log=keep_log))
-            # the start sample is the only draw: the stepper takes none
-            after_sample = np.random.default_rng(4)
-            after_sample.random(6)
-            assert rng.random() == after_sample.random()
-        for rep in reps:
-            assert rep.n_events == 0 and rep.total_probes == 5
-            assert [r.tolist() for r in rep.xi_rows] == [[1.0] * 6]
-            mean, sem = rep.xi_site_stats()
-            assert mean.tolist() == [1.0] * 6 and sem is None
-        assert reps[1].event_log == []
-        assert reps[0].meta() == reps[1].meta()
+        rng = RecordingRng(4)
+        rep = simulate(stationary_state(p, 0, (0, 5), rng, eps=1.0), p, 10.0, rng,
+                       probes=4)
+        # the start sample is the only draw: the stepper takes none
+        assert [(name, arg) for name, arg, _ in rng.record] == [("random", 6)]
+        assert rep.n_events == 0 and rep.total_probes == 5
+        assert [r.tolist() for r in rep.xi_rows] == [[1.0] * 6]
+        mean, sem = rep.xi_site_stats()
+        assert mean.tolist() == [1.0] * 6 and sem is None
 
     @pytest.mark.parametrize("lo,hi", [(-6, 5), (3, 9), (-9, -2), (0, 0)])
     def test_removed_particles_raise_N_by_their_count(self, lo, hi):
@@ -710,7 +701,7 @@ class TestSimulation:
         assert b.merge(c) is b  # b now holds two replicas
         assert set(a.x_rows[0]) ^ set(b.x_rows[0])  # keys on one side only
         names = [f.name for f in dataclasses.fields(SimulationReport)]
-        additive = names[names.index("n_events"):names.index("event_log")]
+        additive = names[names.index("n_events"):]
         before = {n: (copy.deepcopy(getattr(a, n)), getattr(b, n)) for n in additive}
         assert a.merge(b) is a
         for n in additive:
@@ -727,7 +718,6 @@ class TestSimulation:
             else:
                 assert got == mine + theirs, n
         assert a.n_replicas == 3 and a.total_probes == 3 * 7
-        assert a.event_log is None
 
     def test_ensemble_rows_are_its_replicas_in_order(self):
         rep = run_ensemble(P5, 2, (-20, 20), 2.0, replicas=3, seed=8, probes=4,
@@ -740,17 +730,6 @@ class TestSimulation:
             assert np.array_equal(rep.eta_rows[i], one.eta_rows[0])
             assert rep.x_rows[i] == one.x_rows[0]
             assert rep.label_rows[i] == one.label_rows[0]
-
-    def test_event_log(self):
-        p = AsepParams(q=0.5, c=0.0)
-        rng = np.random.default_rng(9)
-        rep = simulate(stationary_state(p, 1, (-20, 20), rng, eps=1e-4), p, 2.0, rng,
-                       probes=4, keep_log=True)
-        assert rep.event_log
-        assert len(rep.event_log) == rep.n_events
-        times = [t for t, _ in rep.event_log]
-        assert times == sorted(times)
-        assert all(tr.kind in ("particle", "label") for _, tr in rep.event_log)
 
     def test_ensemble_needs_replicas(self):
         with pytest.raises(ValueError):
@@ -878,6 +857,8 @@ def replay(p, d, window, T, seed, probes, eps, margin, log):
 
 
 class TestEventLogReplay:
+    # once simulate's recorded draws equal the oracle's, the oracle's log,
+    # replayed on plain lists, must rebuild simulate's report
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_replay_rebuilds_the_report(self, d):
         # a wide margin, so that some probes of a replica count as
@@ -886,14 +867,16 @@ class TestEventLogReplay:
         kw = dict(probes=15, eps=0.45, margin=12)
         replayed = 0
         for seed in range(1, 6):
-            rng = np.random.default_rng(seed)
+            rng, want_rng = RecordingRng(seed), RecordingRng(seed)
             try:
                 rep = simulate(stationary_state(p, d, (-16, 16), rng, eps=0.45), p, 4.0,
-                               rng, probes=15, margin=12, keep_log=True)
+                               rng, probes=15, margin=12)
             except LabelOutOfRange:  # the pi sample outranks the particles
                 continue
-            assert rep.n_events == len(rep.event_log) > 0
-            want = replay(p, d, (-16, 16), 4.0, seed, log=rep.event_log, **kw)
+            _, log = oracle_simulate_stationary(p, d, (-16, 16), 4.0, want_rng, **kw)
+            assert rng.record == want_rng.record
+            assert rep.n_events == len(log) > 0
+            want = replay(p, d, (-16, 16), 4.0, seed, log=log, **kw)
             for name, value in want.items():
                 got = getattr(rep, name)
                 if name in ("xi_rows", "eta_rows"):
@@ -904,17 +887,24 @@ class TestEventLogReplay:
         assert replayed >= 3
 
     def test_replay_of_a_window_that_freezes(self):
-        # a two-site window reaches 00 or 11 and holds there for ever
+        # a two-site window that starts at 00 or 11 holds there for ever.  A
+        # hop keeps the particle count, so only a start freezes, and the
+        # oracle, which cannot step it, raises before its first event
         p = AsepParams(q=0.5, c=0.5)
         kw = dict(probes=10, eps=0.9, margin=0)
         frozen = 0
         for seed in range(8):
-            rng = np.random.default_rng(seed)
+            rng, want_rng = RecordingRng(seed), RecordingRng(seed)
             rep = simulate(stationary_state(p, 0, (0, 1), rng, eps=0.9), p, 5.0, rng,
-                           probes=10, margin=0, keep_log=True)
-            want = replay(p, 0, (0, 1), 5.0, seed, log=rep.event_log, **kw)
+                           probes=10, margin=0)
+            try:
+                _, log = oracle_simulate_stationary(p, 0, (0, 1), 5.0, want_rng, **kw)
+            except Absorbing:
+                log = []
+                frozen += 1
+            assert rng.record == want_rng.record
+            want = replay(p, 0, (0, 1), 5.0, seed, log=log, **kw)
             assert bits(rep.xi_rows) == bits(want["xi_rows"])
             assert bits(rep.eta_rows) == bits(want["eta_rows"])
             assert rep.N_violations == want["N_violations"]
-            frozen += not rep.event_log or rep.event_log[-1][0] <= 5.0
-        assert frozen
+        assert 0 < frozen < 8

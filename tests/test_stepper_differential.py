@@ -1,12 +1,13 @@
 """Differential test of simulate against the oracle stepper.
 
 The oracle in tests/oracle.py is the earlier per-event stepper: it rescans
-every bond, builds a Transition for every enabled move and copies the whole
-state on each event.  From the same start and seed, simulate must reproduce
-it exactly -- the same draws, the same event log and the same report, field
-by field -- end in the state the logged moves give, and keep its labeled
-particles' sites and its ordered list of domain walls equal to the ones the
-occupancy bits and labels give.
+every bond, builds a Move for every enabled move and copies the whole state
+on each event.  From the same start and seed, simulate must reproduce it
+exactly -- the same generator calls, recorded with their arguments and
+results (each event's holding-time scale 1/total and its uniform), and the
+same report, field by field -- end in the state the oracle's logged moves
+give, and keep its labeled particles' sites and its ordered list of domain
+walls equal to the ones the occupancy bits and labels give.
 """
 
 from collections import Counter
@@ -20,13 +21,14 @@ from aseplab.coupling import (
     CoupledState,
     LabelOutOfRange,
     SimulationReport,
-    Transition,
     sample_pi,
     simulate,
 )
 from oracle import (
     Absorbing,
+    Move,
     OracleState,
+    RecordingRng,
     assert_consistent,
     assert_same_report,
     oracle_apply_transition,
@@ -47,19 +49,20 @@ EPS = 0.45
 
 def run_both(xi, labels, p, T, seed, probes=15, margin=3):
     """simulate and the oracle from the start (xi, labels) and one seed.
-    Their event logs and reports must agree, and simulate must end in the
-    state the logged moves give.  Returns simulate's report."""
+    Their recorded draws and reports must agree, and simulate must end in
+    the state the oracle's logged moves give.  Returns simulate's report and
+    the oracle's log."""
     start = OracleState(xi=xi.copy(), labels=labels)
-    want = oracle_simulate(start, p, T, np.random.default_rng(seed), probes, margin)
+    want_rng, got_rng = RecordingRng(seed), RecordingRng(seed)
+    want, log = oracle_simulate(start, p, T, want_rng, probes, margin)
     s = CoupledState(xi=xi, labels=labels)
-    got = simulate(s, p, T, np.random.default_rng(seed), probes, margin, keep_log=True)
-    assert got.event_log == want.event_log
+    got = simulate(s, p, T, got_rng, probes, margin)
+    assert got_rng.record == want_rng.record
     assert_same_report(got, want)
-    end = functools.reduce(oracle_apply_transition,
-                           (tr for _, tr in got.event_log), start)
+    end = functools.reduce(oracle_apply_transition, (tr for _, tr in log), start)
     assert bytes(s.occ) == bytes(end.xi.bits) and s.labels == end.labels
     assert_consistent(s)
-    return got
+    return got, log
 
 
 @pytest.mark.parametrize("q", sorted(WINDOWS))
@@ -70,21 +73,22 @@ def test_replicas_match_oracle(q, d):
         p = AsepParams(q=q, c=c)
         for seed in (1, 2, 3):
             kw = dict(probes=15, margin=3)
-            rng = np.random.default_rng([seed, d])
+            rng, want_rng = RecordingRng([seed, d]), RecordingRng([seed, d])
             xi = sample_blocking(WINDOWS[q], p, rng, eps=EPS)
             labels = sample_pi(d, p.q, rng)
             try:
-                want = oracle_simulate_stationary(
-                    p, d, WINDOWS[q], 4.0, np.random.default_rng([seed, d]), eps=EPS, **kw
+                want, _ = oracle_simulate_stationary(
+                    p, d, WINDOWS[q], 4.0, want_rng, eps=EPS, **kw
                 )
             except LabelOutOfRange:  # the pi sample outranks the particles
                 with pytest.raises(LabelOutOfRange):
                     CoupledState(xi, labels)
                 continue
             s = CoupledState(xi, labels)
-            got = simulate(s, p, 4.0, rng, keep_log=True, **kw)
+            got = simulate(s, p, 4.0, rng, **kw)
             assert got.n_events > 0
-            assert got.event_log == want.event_log
+            # the start's draws, window and labels, then two per event
+            assert rng.record == want_rng.record
             assert_same_report(got, want)
             assert_consistent(s)
             compared += 1
@@ -103,7 +107,7 @@ def test_steps_match_oracle(q, d):
         rng = np.random.default_rng(seed)
         xi = sample_blocking(WINDOWS[q], p, rng, eps=EPS)
         labels = tuple(range(0, 2 * d, 2))  # every other particle from the left
-        assert run_both(xi, labels, p, STEPS_T[q], seed).n_events >= 150
+        assert run_both(xi, labels, p, STEPS_T[q], seed)[0].n_events >= 150
 
 
 def test_wide_window_matches_oracle():
@@ -113,7 +117,7 @@ def test_wide_window_matches_oracle():
     xi = sample_blocking((-160, 160), p, rng, eps=1e-6)
     labels = sample_pi(3, p.q, rng)
     assert len(CoupledState(xi=xi, labels=labels).walls) >= 10
-    assert run_both(xi, labels, p, 90.0, 32).n_events >= 1500
+    assert run_both(xi, labels, p, 90.0, 32)[0].n_events >= 1500
 
 
 @pytest.mark.parametrize("labels", [(), (0,), (1, 2)])
@@ -122,8 +126,8 @@ def test_hops_across_the_edge_bonds(labels):
     # across the last bond none to its right
     bits = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
     xi = WindowState(lo=-2, hi=3, bits=bits)
-    rep = run_both(xi, labels, AsepParams(q=0.5), 250.0, 41)
-    edge = {(tr.idx, tr.step) for _, tr in rep.event_log if tr.kind == "particle"}
+    _, log = run_both(xi, labels, AsepParams(q=0.5), 250.0, 41)
+    edge = {(tr.idx, tr.step) for _, tr in log if tr.kind == "particle"}
     assert {(-2, 1), (-1, -1), (2, 1), (3, -1)} <= edge
 
 
@@ -133,16 +137,16 @@ def test_packed_ground_state(labels):
     bits = np.array([0] * 6 + [1] * 5, dtype=np.uint8)
     xi = WindowState(lo=-5, hi=5, bits=bits)
     moves = oracle_enabled_transitions(OracleState(xi=xi, labels=labels), AsepParams(q=0.5))
-    assert moves[0] == (Transition("particle", 1, -1), 0.5)
-    assert run_both(xi, labels, AsepParams(q=0.5), 100.0, 4).n_events >= 50
+    assert moves[0] == (Move("particle", 1, -1), 0.5)
+    assert run_both(xi, labels, AsepParams(q=0.5), 100.0, 4)[0].n_events >= 50
 
 
 def held(xi, labels, p, T, probes, margin):
     """The report of a window with no enabled move, run to T: the oracle's
     report of its one probe at t = 0, every count times the probes+1
     probes, which all see the one holding interval."""
-    one = oracle_simulate(OracleState(xi=xi.copy(), labels=labels), p, 0.0,
-                          np.random.default_rng(0), probes, margin)
+    one, _ = oracle_simulate(OracleState(xi=xi.copy(), labels=labels), p, 0.0,
+                             np.random.default_rng(0), probes, margin)
     n = probes + 1
     times = tuple([0.0] + [i * T / probes for i in range(1, n)])
     return SimulationReport(
@@ -152,7 +156,6 @@ def held(xi, labels, p, T, probes, margin):
         xi_rows=one.xi_rows, eta_rows=one.eta_rows,
         x_rows=[Counter({k: n * v for k, v in one.x_rows[0].items()})],
         label_rows=[Counter({k: n * v for k, v in one.label_rows[0].items()})],
-        event_log=[],
     )
 
 
@@ -166,10 +169,10 @@ def test_empty_and_full_windows_absorb(lo, hi, fill):
     with pytest.raises(Absorbing):
         oracle_choose_transition(o, p, np.random.default_rng(0))
     # simulate draws nothing and holds the state at every probe
-    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+    rng = RecordingRng(0)
     s = CoupledState(xi=xi, labels=())
-    got = simulate(s, p, 5.0, rng, probes=4, margin=1, keep_log=True)
-    assert rng.random() == twin.random()
+    got = simulate(s, p, 5.0, rng, probes=4, margin=1)
+    assert rng.record == []
     assert_same_report(got, held(xi, (), p, 5.0, 4, 1))
     assert bytes(s.occ) == bytes(xi.bits)
     assert_consistent(s)
@@ -180,16 +183,16 @@ def test_full_window_moves_only_labels():
     xi = WindowState(lo=-2, hi=3, bits=bits)
     moves = oracle_enabled_transitions(OracleState(xi=xi, labels=(1, 4)), AsepParams(q=0.5))
     assert {tr.kind for tr, _ in moves} == {"label"}
-    rep = run_both(xi, (1, 4), AsepParams(q=0.5), 80.0, 6)
+    rep, log = run_both(xi, (1, 4), AsepParams(q=0.5), 80.0, 6)
     assert rep.n_events >= 50
-    assert {tr.kind for _, tr in rep.event_log} == {"label"}
+    assert {tr.kind for _, tr in log} == {"label"}
 
 
 def test_construction_copies_the_window():
     xi = WindowState(lo=-3, hi=4, bits=np.array([0, 1, 1, 0, 1, 0, 1, 1]))
     s = CoupledState(xi=xi, labels=(1,))
     # the first of the six moves, the hop of the particle at -2 to the left
-    assert one_event(s, AsepParams(q=0.5), 0.0)[0] == Transition("particle", -2, -1)
+    assert one_event(s, AsepParams(q=0.5), 0.0)[0] == Move("particle", -2, -1)
     assert xi.bits.tolist() == [0, 1, 1, 0, 1, 0, 1, 1]
     assert s.xi.bits.tolist() == [1, 0, 1, 0, 1, 0, 1, 1]
     assert_consistent(s)
@@ -213,20 +216,7 @@ def starts(q, d):
 def test_simulate_from_given_states_matches_oracle(q, d):
     p = AsepParams(q=q, c=0.3)
     for (name, xi, labels), seed in zip(starts(q, d), (21, 22, 23)):
-        kw = dict(probes=15, margin=3)
-        want = oracle_simulate(OracleState(xi=xi.copy(), labels=labels), p, 20.0,
-                               np.random.default_rng(seed), **kw)
-        s = CoupledState(xi=xi, labels=labels)
-        got = simulate(s, p, 20.0, np.random.default_rng(seed), keep_log=True, **kw)
-        assert got.n_events > 0, name
-        assert got.event_log == want.event_log, name
-        assert_same_report(got, want)
-        assert_consistent(s)
-        # without the log the same draws give the same report
-        again = simulate(CoupledState(xi=xi, labels=labels), p, 20.0,
-                         np.random.default_rng(seed), **kw)
-        again.event_log = want.event_log
-        assert_same_report(again, want)
+        assert run_both(xi, labels, p, 20.0, seed)[0].n_events > 0, name
 
 
 # ------------------------------------------ holding intervals and weights
@@ -244,14 +234,8 @@ def test_intervals_holding_many_probes_match_oracle(d):
     # within the margin of an edge, so contaminated intervals count many
     # probes each
     for labels, seed in ((tuple(range(d)), 51), (tuple(range(6 - d, 6)), 52)):
-        kw = dict(probes=2000, margin=3)
-        want = oracle_simulate(OracleState(xi=FEW.copy(), labels=labels), p, 5.0,
-                               np.random.default_rng(seed), **kw)
-        got = simulate(CoupledState(xi=FEW, labels=labels), p, 5.0,
-                       np.random.default_rng(seed), keep_log=True, **kw)
+        got, _ = run_both(FEW, labels, p, 5.0, seed, probes=2000, margin=3)
         assert 0 < got.n_events < got.n_probes // 20
-        assert got.event_log == want.event_log
-        assert_same_report(got, want)
         if d:
             assert got.contaminated_probes > 1
 
@@ -274,6 +258,6 @@ def test_a_frozen_window_weights_its_one_interval(bits, labels):
                         np.random.default_rng(0), **kw)
     want = held(xi, labels, p, 5.0, **kw)
     got = simulate(CoupledState(xi=xi, labels=labels), p, 5.0,
-                   np.random.default_rng(0), keep_log=True, **kw)
+                   np.random.default_rng(0), **kw)
     assert_same_report(got, want)
     assert got.contaminated_probes == (want.total_probes if labels else 0)

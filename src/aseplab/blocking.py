@@ -16,7 +16,7 @@ functions that build or read arrays (the window state, the sampler, the
 brute-force oracle), so `aseplab verify` and `aseplab dist` never load it.
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 import math
 
 from .partitions import SizeLimit
@@ -34,18 +34,17 @@ class WindowTooNarrow(ValueError):
     """Boundary marginals deviate from the frozen outside values by > eps."""
 
 
-@dataclass(frozen=True)
-class AsepParams:
+class AsepParams(namedtuple("AsepParams", "q c")):
     """Right jump rate 1, left jump rate q, blocking measure centered at c."""
 
-    q: float
-    c: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_q(self.q)
+    def __new__(cls, q, c=0.0):
+        _check_q(q)
+        return super().__new__(cls, q, c)
 
     def with_c(self, c):
-        return replace(self, c=c)
+        return self._replace(c=c)  # q is unchanged, so skipping __new__ is safe
 
 
 def _log1p_qpow(x, lq):
@@ -67,25 +66,20 @@ def marginal(i, z, p):
     return math.exp(-_log1p_qpow(x, math.log(p.q)))
 
 
-@dataclass
 class WindowState:
     """Occupancies on [lo, hi] with the frozen outside convention:
     sites < lo empty, sites > hi occupied (the a.s. ground-state tails)."""
 
-    lo: int
-    hi: int
-    bits: "numpy.ndarray"
-
-    def __post_init__(self):
+    def __init__(self, lo, hi, bits):
         import numpy as np
-        if self.lo > self.hi:
+        if lo > hi:
             raise ValueError("need lo <= hi")
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.shape != (self.hi - self.lo + 1,):
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.shape != (hi - lo + 1,):
             raise ValueError("bits length must be hi-lo+1")
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("bits must be 0/1")
-        self.bits = bits
+        self.lo, self.hi, self.bits = lo, hi, bits
 
     @property
     def width(self):
@@ -122,12 +116,10 @@ class WindowState:
         return WindowState(self.lo, self.hi, self.bits.copy())
 
 
-@dataclass(frozen=True)
-class CountDist:
+class CountDist(namedtuple("CountDist", "n_min probs")):
     """Distribution of an integer count on a contiguous support."""
 
-    n_min: int
-    probs: "numpy.ndarray"
+    __slots__ = ()
 
     @property
     def support(self):
@@ -276,11 +268,8 @@ def prob_right_holes_table(m, ns, p):
     return prob_left_particles_table(m, ns, p.with_c(2 * m + 1 - p.c))
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    lhs: float
-    rhs: float
+class RelationCheck(namedtuple("RelationCheck", "name lhs rhs")):
+    __slots__ = ()
 
     @property
     def rel_dev(self):

@@ -401,7 +401,7 @@ def _verify_args(sp):
     sp.add_argument(
         "--N", type=int, default=25,
         help="exact-suite size cap, at most 60; durfee --exact takes about "
-             "0.3 s at 25, 2.6 s at 35 and 6.4 s at 40, and minutes at 60")
+             "0.2 s at 25, 1.8 s at 35 and 5 s at 40, and minutes at 60")
     sp.add_argument("--K", type=int, default=6, help="exact euler z-degree")
     sp.add_argument("--tol", type=_finite_arg, default=None)
 

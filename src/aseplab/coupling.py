@@ -20,7 +20,6 @@ imported inside the simulator's functions that build or read arrays.
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
 import itertools
 import math
@@ -43,7 +42,6 @@ def as_labels(x):
     return labels
 
 
-@dataclass
 class CoupledState:
     """Mutable engine state of the coupled chain.
 
@@ -62,17 +60,11 @@ class CoupledState:
     all the state holds; it keeps no record of the probes.
     """
 
-    xi: WindowState
-    labels: tuple
-    occ: bytearray = field(init=False, repr=False)
-    positions: list = field(init=False, repr=False)
-    walls: list = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, xi, labels):
         import numpy as np
-        self.labels = as_labels(self.labels)
-        lo, hi = self.xi.lo, self.xi.hi
-        occ = self.occ = bytearray(self.xi.bits.tobytes())
+        self.labels = as_labels(labels)
+        lo, hi = xi.lo, xi.hi
+        occ = self.occ = bytearray(xi.bits.tobytes())
         self.xi = WindowState(lo, hi, np.frombuffer(occ, dtype=np.uint8))
         occupied = [lo + i for i, b in enumerate(occ) if b]
         self.walls = [k for k in range(1, len(occ)) if occ[k] != occ[k - 1]]
@@ -271,7 +263,6 @@ def mean_and_sem(rows, n):
     return mean, np.sqrt(var / n)
 
 
-@dataclass
 class SimulationReport:
     """Mergeable record of replicas of the coupled simulation.
 
@@ -283,20 +274,22 @@ class SimulationReport:
     on demand.
     """
 
-    lo: int
-    hi: int
-    d: int
-    q: float
-    c: float
-    T: float
-    probe_times: tuple
-    n_events: int = 0
-    contaminated_probes: int = 0
-    N_violations: int = 0
-    xi_rows: list = field(default_factory=list)
-    eta_rows: list = field(default_factory=list)
-    x_rows: list = field(default_factory=list)
-    label_rows: list = field(default_factory=list)
+    # the run layout, which merged reports share, and what merge adds up
+    LAYOUT = ("lo", "hi", "d", "q", "c", "T", "probe_times")
+    SUMMED = ("n_events", "contaminated_probes", "N_violations",
+              "xi_rows", "eta_rows", "x_rows", "label_rows")
+
+    def __init__(self, lo, hi, d, q, c, T, probe_times, n_events=0,
+                 contaminated_probes=0, N_violations=0, xi_rows=(),
+                 eta_rows=(), x_rows=(), label_rows=()):
+        self.lo, self.hi, self.d, self.q, self.c, self.T = lo, hi, d, q, c, T
+        self.probe_times = probe_times
+        self.n_events = n_events
+        self.contaminated_probes = contaminated_probes
+        self.N_violations = N_violations
+        # each report owns its row lists, which merge extends in place
+        self.xi_rows, self.eta_rows = list(xi_rows), list(eta_rows)
+        self.x_rows, self.label_rows = list(x_rows), list(label_rows)
 
     @property
     def sites(self):
@@ -361,15 +354,12 @@ class SimulationReport:
     def merge(self, other):
         """Add other's replicas after self's and return self.
 
-        The fields before n_events give the run layout and must agree.
-        Every later field is a count, which adds, or a list of rows, which
-        extends: operator.iadd does both.
+        The LAYOUT fields must agree.  Every SUMMED field is a count, which
+        adds, or a list of rows, which extends: operator.iadd does both.
         """
-        names = [f.name for f in fields(self)]
-        split = names.index("n_events")
-        if any(getattr(self, n) != getattr(other, n) for n in names[:split]):
+        if any(getattr(self, n) != getattr(other, n) for n in self.LAYOUT):
             raise ValueError("cannot merge reports with different run layouts")
-        for name in names[split:]:
+        for name in self.SUMMED:
             setattr(self, name,
                     operator.iadd(getattr(self, name), getattr(other, name)))
         return self

@@ -9,7 +9,7 @@ the partition of its total left displacement is a test oracle, in
 tests/test_partitions.py.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .qseries import IntPoly
 
@@ -105,14 +105,12 @@ def bounded_counts(n_max, max_parts, max_size):
     return [row[max_parts] for row in B]
 
 
-class DurfeeDecomposition(NamedTuple):
+class DurfeeDecomposition(namedtuple("DurfeeDecomposition",
+                                     "n_offset k right below")):
     """Maximal (n_offset+k) x k rectangle of a partition plus the leftover
     partitions to its right and below; zero parts are dropped from right."""
 
-    n_offset: int
-    k: int
-    right: tuple
-    below: tuple
+    __slots__ = ()
 
     def reassemble(self):
         """The partition put back together.  Its parts are not validated

@@ -9,7 +9,7 @@ partition counting on the other, so they either agree coefficient by
 coefficient or the identity is simply false in that range.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 import math
 
 from .partitions import (
@@ -38,14 +38,10 @@ from .qseries import (
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    params: dict
-    lhs: float
-    rhs: float
-    tol: float
-    trunc_bound: float = 0.0
+class IdentityReport(namedtuple("IdentityReport",
+                                 "name params lhs rhs tol trunc_bound",
+                                 defaults=(0.0,))):
+    __slots__ = ()
 
     @property
     def abs_dev(self):

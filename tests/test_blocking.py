@@ -18,6 +18,7 @@ from aseplab import blocking
 from aseplab.blocking import (
     AsepParams,
     CountDist,
+    RelationCheck,
     WindowState,
     WindowTooNarrow,
     brute_force_window_law,
@@ -49,7 +50,9 @@ def test_params_validation():
         AsepParams(q=1.0)
     with pytest.raises(ValueError):
         AsepParams(q=0.0, c=1.0)
-    assert AsepParams(0.5).with_c(2.5).c == 2.5
+    with pytest.raises(ValueError):
+        AsepParams(1.5)
+    assert AsepParams(0.5).with_c(2.5) == AsepParams(q=0.5, c=2.5)
 
 
 def test_marginal_hand_values():
@@ -684,6 +687,28 @@ def test_shift_relations_where_both_sides_underflow():
     for chk in checks:
         assert chk.lhs == chk.rhs == 0.0
         assert chk.rel_dev == 0.0
+
+
+def test_params_are_immutable_values():
+    p = AsepParams(0.5)
+    assert p == AsepParams(q=0.5, c=0.0)
+    assert hash(p) == hash(AsepParams(q=0.5, c=0.0))
+    assert p != AsepParams(0.5, 1.0)
+    with pytest.raises(AttributeError):
+        p.q = 0.25
+    with pytest.raises(AttributeError):
+        p.c = 1.0
+    assert type(p.with_c(2.5)) is AsepParams and p.c == 0.0
+    assert repr(p) == "AsepParams(q=0.5, c=0.0)"
+
+
+def test_count_dist_and_relation_check_reject_assignment():
+    d = CountDist(n_min=0, probs=np.array([1.0]))
+    chk = RelationCheck("x", 1.0, 2.0)
+    for obj, name in ((d, "n_min"), (d, "probs"), (chk, "lhs"), (chk, "name")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    assert chk.rel_dev == 0.5
 
 
 def test_count_dist_accessors():

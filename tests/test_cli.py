@@ -791,14 +791,24 @@ def test_main_reads_sys_argv_or_any_sequence(monkeypatch, tmp_path):
 # and notes which aseplab modules it loaded and whether numpy is loaded, runs
 # every command of its first list, notes numpy again, then runs the second
 # list.
+# The child also asserts that neither the import nor the commands in
+# `before` add dataclasses, inspect or typing (costly to import, and unused
+# by the package); site may load typing before aseplab does, so only what
+# aseplab adds is checked.
 STARTUP_CHILD = """
 import json, sys
 src, before, after = json.loads(sys.argv[1])
 sys.path.insert(0, src)
+preloaded = set(sys.modules)
+def added_unused(when):
+    added = {"dataclasses", "inspect", "typing"} & (set(sys.modules) - preloaded)
+    assert not added, f"{when} imported {sorted(added)}"
 import aseplab.cli as cli
+added_unused("import aseplab.cli")
 imported = sorted(m for m in sys.modules if m.startswith("aseplab."))
 at_import = "numpy" in sys.modules
 rcs = [cli.main(argv) for argv in before]
+added_unused("the commands before numpy")
 loaded = "numpy" in sys.modules
 rcs += [cli.main(argv) for argv in after]
 print(json.dumps([imported, at_import, rcs, loaded, "numpy" in sys.modules]))
@@ -810,7 +820,8 @@ def run_startup_child(before, after):
     proc = subprocess.run(
         [sys.executable, "-I", "-c", STARTUP_CHILD,
          json.dumps([src, before, after])],
-        capture_output=True, text=True, timeout=120, check=True)
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 

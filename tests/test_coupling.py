@@ -1,6 +1,5 @@
 from collections import Counter
 import copy
-import dataclasses
 from fractions import Fraction
 import functools
 import itertools
@@ -590,6 +589,13 @@ class TestSimulation:
         assert rep.contamination_fraction == 1.0
         assert rep.contaminated_probes == rep.total_probes == 3
 
+    def test_new_reports_share_no_row_list(self):
+        a, b = (SimulationReport(0, 1, 1, 0.5, 0.0, 1.0, (0.0,)) for _ in range(2))
+        rows = ("xi_rows", "eta_rows", "x_rows", "label_rows")
+        for name in rows:
+            getattr(a, name).append(None)
+        assert [getattr(b, name) for name in rows] == [[], [], [], []]
+
     def test_contamination_fraction_without_replicas(self):
         rep = SimulationReport(0, 1, 1, 0.5, 0.0, 1.0, (0.0,))
         assert rep.total_probes == 0
@@ -700,8 +706,13 @@ class TestSimulation:
         )
         assert b.merge(c) is b  # b now holds two replicas
         assert set(a.x_rows[0]) ^ set(b.x_rows[0])  # keys on one side only
-        names = [f.name for f in dataclasses.fields(SimulationReport)]
-        additive = names[names.index("n_events"):]
+        # every attribute outside the layout, named from the instance rather
+        # than from merge's own list
+        additive = [n for n in vars(a) if n not in OTHER_LAYOUT]
+        assert len(additive) == len(vars(a)) - len(OTHER_LAYOUT)
+        for n in additive:  # no count 0, so a count that merge skips shows
+            if not isinstance(getattr(b, n), list):
+                setattr(b, n, getattr(b, n) + 1)
         before = {n: (copy.deepcopy(getattr(a, n)), getattr(b, n)) for n in additive}
         assert a.merge(b) is a
         for n in additive:

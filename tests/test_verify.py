@@ -34,6 +34,14 @@ class TestIdentityReport:
         )
         assert excused.passed
 
+    def test_is_an_immutable_value(self):
+        r = IdentityReport("demo", {"q": 0.5}, lhs=2.0, rhs=2.0, tol=1e-10)
+        assert r.trunc_bound == 0.0
+        assert r == IdentityReport("demo", {"q": 0.5}, 2.0, 2.0, 1e-10, 0.0)
+        for name in ("lhs", "trunc_bound", "passed"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 1.0)
+
     def test_summary_line(self):
         r = IdentityReport("demo", {"q": 0.5}, lhs=2.0, rhs=2.0, tol=1e-10)
         assert r.summary().startswith("PASS demo [q=0.5]")

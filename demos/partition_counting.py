@@ -9,6 +9,7 @@ the counts against the DP counters.
 """
 
 from aseplab.partitions import (
+    _reassemble,
     count_bounded,
     count_distinct_bounded,
     count_distinct_exactly_k,
@@ -27,13 +28,13 @@ def main():
     # decompose one partition at a few rectangle offsets
     lam = (6, 5, 5, 2, 1, 1)
     for n in (-1, 0, 2):
-        dec = durfee_decompose(lam, n)
-        print(f"lam={lam} offset n={n}: rectangle {n + dec.k}x{dec.k}, "
-              f"right={dec.right}, below={dec.below}")
+        k, right, below = durfee_decompose(lam, n)
+        print(f"lam={lam} offset n={n}: rectangle {n + k}x{k}, "
+              f"right={right}, below={below}")
 
     # reassembly is injective: every partition of 9 comes back intact
     ok = all(
-        durfee_decompose(mu, 0).reassemble() == mu
+        _reassemble(0, *durfee_decompose(mu, 0)) == mu
         for mu in enumerate_partitions(9)
     )
     print("all partitions of 9 reassemble:", ok)

@@ -25,6 +25,7 @@ from .qseries import (
     SERIES_MAX_TERMS,
     TruncationNotConverged,
     _check_q,
+    _log1p_qpow,
     log_neg_pochhammer_infinite,
     log_qbinomial,
 )
@@ -43,16 +44,13 @@ class AsepParams(namedtuple("AsepParams", "q c")):
         _check_q(q)
         return super().__new__(cls, q, c)
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*iterable)
+
     def with_c(self, c):
-        return self._replace(c=c)  # q is unchanged, so skipping __new__ is safe
-
-
-def _log1p_qpow(x, lq):
-    """log(1 + q^x) given lq = log q, stable for any real x."""
-    u = x * lq
-    if u > 0:
-        return u + math.log1p(math.exp(-u))
-    return math.log1p(math.exp(u))
+        return self._replace(c=c)
 
 
 def marginal(i, z, p):

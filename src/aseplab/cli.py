@@ -401,7 +401,7 @@ def _verify_args(sp):
     sp.add_argument(
         "--N", type=int, default=25,
         help="exact-suite size cap, at most 60; durfee --exact takes about "
-             "0.2 s at 25, 1.8 s at 35 and 5 s at 40, and minutes at 60")
+             "0.15 s at 25, 1.4 s at 35 and 4 s at 40, and minutes at 60")
     sp.add_argument("--K", type=int, default=6, help="exact euler z-degree")
     sp.add_argument("--tol", type=_finite_arg, default=None)
 
@@ -460,7 +460,7 @@ _SUBCOMMANDS = {
 }
 
 
-def _parser(command=None):
+def build_parser(command=None):
     """The top-level parser with the subparser of `command` alone, or with
     all of them when command is None; help, usage and errors read the same
     either way.  Every formatter gets the terminal width read once here,
@@ -489,18 +489,13 @@ def _parser(command=None):
     return parser
 
 
-def build_parser():
-    """The full parser, every subcommand in it."""
-    return _parser()
-
-
 def main(argv=None):
     try:
         argv = list(sys.argv[1:] if argv is None else argv)
         # only the subparser argv names is built; -h, a typo or nothing
         # gets them all, for the full help or error
         named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-        args = _parser(named).parse_args(argv)
+        args = build_parser(named).parse_args(argv)
         return args.handler(args.parser, args)
     except SystemExit as e:  # usage errors, and a closed stdout pipe
         return int(e.code or 0)

@@ -9,8 +9,6 @@ the partition of its total left displacement is a test oracle, in
 tests/test_partitions.py.
 """
 
-from collections import namedtuple
-
 from .qseries import IntPoly
 
 
@@ -105,35 +103,30 @@ def bounded_counts(n_max, max_parts, max_size):
     return [row[max_parts] for row in B]
 
 
-class DurfeeDecomposition(namedtuple("DurfeeDecomposition",
-                                     "n_offset k right below")):
-    """Maximal (n_offset+k) x k rectangle of a partition plus the leftover
-    partitions to its right and below; zero parts are dropped from right."""
-
-    __slots__ = ()
-
-    def reassemble(self):
-        """The partition put back together.  Its parts are not validated
-        again: durfee_decompose validated the partition they came from."""
-        n_offset, k, right, below = self
-        side = n_offset + k
-        parts = [v for r in right if (v := r + side) > 0]
-        # rows past the right partition hold side alone; side 0 rows carry
-        # nothing
-        if side > 0:
-            parts += [side] * (k - len(right))
-        parts += below
-        return tuple(parts)
-
-
 def durfee_decompose(p, n_offset):
-    """Decompose around the maximal rectangle of side lengths n_offset+k by k.
+    """Decompose around the maximal rectangle of side lengths n_offset+k by k,
+    returned as (k, right, below): the leftover partitions to its right,
+    zero parts dropped, and below it.
 
     k is the unique index >= max(-n_offset, 0) with lam_k >= n_offset+k and
     lam_{k+1} <= n_offset+k, reading lam_0 = +inf and lam_i = 0 past the last
     part.
     """
     return _decompose_valid(as_partition(p), n_offset)
+
+
+def _reassemble(n_offset, k, right, below):
+    """The partition a decomposition at n_offset puts back together.  Its
+    parts are not validated again: durfee_decompose validated the partition
+    they came from."""
+    side = n_offset + k
+    parts = [v for r in right if (v := r + side) > 0]
+    # rows past the right partition hold side alone; side 0 rows carry
+    # nothing
+    if side > 0:
+        parts += [side] * (k - len(right))
+    parts += below
+    return tuple(parts)
 
 
 def _decompose_valid(lam, n):
@@ -152,7 +145,7 @@ def _decompose_valid(lam, n):
     assert k == b, f"rectangle index not unique: {k} != {b} for {lam}, n={n}"
     side = n + k
     right = tuple([x - side for x in lam[:k] if x > side])
-    return DurfeeDecomposition._make((n, k, right, lam[k:]))
+    return k, right, lam[k:]
 
 
 def count_distinct_exactly_k(n, k):

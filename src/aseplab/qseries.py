@@ -40,7 +40,10 @@ def pochhammer_finite(a, q, n):
     out = 1.0
     aq = float(a)
     for _ in range(n):
-        out *= 1.0 - aq
+        factor = 1.0 - aq
+        if factor == 1.0:
+            break  # |a q^i| only shrinks, so every later factor is 1.0 too
+        out *= factor
         aq *= qv
     return out
 
@@ -76,6 +79,14 @@ def _normal_qq(value, q):
     return value
 
 
+def _log1p_qpow(x, lq):
+    """log(1 + q^x) given lq = log q, stable for any real x."""
+    u = x * lq
+    if u > 0:
+        return u + math.log1p(math.exp(-u))
+    return math.log1p(math.exp(u))
+
+
 def log_neg_pochhammer_infinite(x, q):
     """log (-q^x;q)_infty = sum_{i>=0} log(1+q^{x+i}), stable for any real x.
 
@@ -87,15 +98,12 @@ def log_neg_pochhammer_infinite(x, q):
     out = 0.0
     for i in range(SERIES_MAX_TERMS):
         t = (x + i) * lq
-        if t > 0:
-            # q^{x+i} > 1: log(1+e^t) = t + log1p(e^-t)
-            out += t + math.log1p(math.exp(-t))
-        else:
+        if t <= 0:
             term = math.exp(t)
             if term < SERIES_EPS:
                 s = term / ((1.0 - qv) * (1.0 - term))
                 return out, math.expm1(s)
-            out += math.log1p(term)
+        out += _log1p_qpow(x + i, lq)
     raise TruncationNotConverged(
         f"(-q^{x};q)_infty with q={qv} did not reach eps={SERIES_EPS} "
         f"in {SERIES_MAX_TERMS} terms"

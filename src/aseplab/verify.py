@@ -14,6 +14,7 @@ import math
 
 from .partitions import (
     _decompose_valid,
+    _reassemble,
     as_partition,
     bounded_counts,
     distinct_bounded_counts,
@@ -125,11 +126,10 @@ def verify_durfee_exact(N, n_offsets):
         for lam in enumerate_partitions(size):
             lam = as_partition(lam)
             for i, n, k_lo in offsets:
-                dec = _decompose_valid(lam, n)
-                _, k, right, below = dec
+                k, right, below = _decompose_valid(lam, n)
                 # below is a tail of lam, so its first part is its largest
-                if (dec.reassemble() != lam or k < k_lo or len(right) > k
-                        or below and below[0] > n + k):
+                if (_reassemble(n, k, right, below) != lam or k < k_lo
+                        or len(right) > k or below and below[0] > n + k):
                     ok[i] = False
 
     p = series_partition_gf(N)

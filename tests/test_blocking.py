@@ -55,6 +55,14 @@ def test_params_validation():
     assert AsepParams(0.5).with_c(2.5) == AsepParams(q=0.5, c=2.5)
 
 
+def test_params_rebuilt_through_replace_or_make_check_q():
+    with pytest.raises(ValueError):
+        AsepParams(0.5)._replace(q=2.0)
+    with pytest.raises(ValueError):
+        AsepParams._make((2.0, 0.0))
+    assert AsepParams._make((0.25, 1.0)) == AsepParams(0.25, 1.0)
+
+
 def test_marginal_hand_values():
     p = AsepParams(0.5, 0.0)
     assert marginal(0, 1, p) == pytest.approx(0.5, rel=1e-15)

@@ -39,7 +39,7 @@ from aseplab.coupling import (
     prob_positions_table,
 )
 from aseplab.partitions import (
-    DurfeeDecomposition,
+    _reassemble,
     as_partition,
     bounded_counts,
     count_bounded,
@@ -105,14 +105,14 @@ def frozen_durfee_decompose(p, n_offset):
     return k, right, lam[k:]
 
 
-def frozen_reassemble(dec):
-    """DurfeeDecomposition.reassemble as written before it unpacked the
-    tuple once."""
-    side = dec.n_offset + dec.k
-    parts = [v for r in dec.right if (v := r + side) > 0]
+def frozen_reassemble(n_offset, k, right, below):
+    """The decomposition's reassemble method as written before it unpacked
+    its fields once."""
+    side = n_offset + k
+    parts = [v for r in right if (v := r + side) > 0]
     if side > 0:
-        parts += [side] * (dec.k - len(dec.right))
-    return (*parts, *dec.below)
+        parts += [side] * (k - len(right))
+    return (*parts, *below)
 
 
 def frozen_prob_positions(mvec, p, d):
@@ -483,11 +483,8 @@ def test_durfee_decompose_equals_frozen_copy():
     for n in range(0, 19):
         for lam in frozen_enumerate_partitions(n):
             for n_offset in range(-5, 6):
-                dec = durfee_decompose(lam, n_offset)
-                assert (dec.k, dec.right, dec.below) == frozen_durfee_decompose(
-                    lam, n_offset
-                )
-                assert dec.n_offset == n_offset
+                assert (durfee_decompose(lam, n_offset)
+                        == frozen_durfee_decompose(lam, n_offset))
 
 
 def test_reassemble_equals_frozen_copy_on_any_fields():
@@ -497,8 +494,8 @@ def test_reassemble_equals_frozen_copy_on_any_fields():
         for right in itertools.chain.from_iterable(
                 itertools.product(range(-3, 4), repeat=r) for r in range(4)):
             for below in ((), (1,), (5, 2, 2), (0, -1)):
-                dec = DurfeeDecomposition(n_offset, k, right, below)
-                assert dec.reassemble() == frozen_reassemble(dec)
+                assert (_reassemble(n_offset, k, right, below)
+                        == frozen_reassemble(n_offset, k, right, below))
 
 
 def test_durfee_decompose_still_validates():
@@ -531,11 +528,11 @@ def test_durfee_suite_catches_one_dropped_below_part(monkeypatch):
     planted = []
 
     def drop_once(lam, n_offset):
-        dec = real(lam, n_offset)
-        if dec.below and not planted:
+        k, right, below = real(lam, n_offset)
+        if below and not planted:
             planted.append(lam)
-            return dec._replace(below=dec.below[:-1])
-        return dec
+            below = below[:-1]
+        return k, right, below
 
     monkeypatch.setattr(verify, "_decompose_valid", drop_once)
     assert verify.verify_durfee_exact(10, [-1]) == [False]

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aseplab.partitions import (
-    DurfeeDecomposition,
     SizeLimit,
+    _reassemble,
     as_partition,
     count_bounded,
     count_distinct_bounded,
@@ -125,22 +125,20 @@ RUNNING_EXAMPLE = (8, 8, 7, 3, 2, 1, 1)
 
 
 def test_durfee_running_example_offsets():
-    d0 = durfee_decompose(RUNNING_EXAMPLE, 0)
-    assert (d0.k, d0.right, d0.below) == (3, (5, 5, 4), (3, 2, 1, 1))
-    d2 = durfee_decompose(RUNNING_EXAMPLE, 2)
-    assert (d2.k, d2.right, d2.below) == (3, (3, 3, 2), (3, 2, 1, 1))
-    dm3 = durfee_decompose(RUNNING_EXAMPLE, -3)
-    # fifth part of the right partition is 0 and gets dropped
-    assert (dm3.k, dm3.right, dm3.below) == (5, (6, 6, 5, 1), (1, 1))
-    for d in (d0, d2, dm3):
-        assert d.reassemble() == RUNNING_EXAMPLE
+    for n_offset, dec in (
+            (0, (3, (5, 5, 4), (3, 2, 1, 1))),
+            (2, (3, (3, 3, 2), (3, 2, 1, 1))),
+            # fifth part of the right partition is 0 and gets dropped
+            (-3, (5, (6, 6, 5, 1), (1, 1)))):
+        assert durfee_decompose(RUNNING_EXAMPLE, n_offset) == dec
+        assert _reassemble(n_offset, *dec) == RUNNING_EXAMPLE
 
 
 def test_durfee_empty_partition():
     for n_offset in range(-4, 5):
-        d = durfee_decompose((), n_offset)
-        assert d.reassemble() == ()
-        assert d.k == max(-n_offset, 0)
+        k, right, below = durfee_decompose((), n_offset)
+        assert _reassemble(n_offset, k, right, below) == ()
+        assert k == max(-n_offset, 0)
 
 
 def test_durfee_reassembles_exhaustively():
@@ -148,11 +146,11 @@ def test_durfee_reassembles_exhaustively():
     for n in range(0, 26):
         for lam in enumerate_partitions(n):
             for n_offset in range(-4, 5):
-                d = durfee_decompose(lam, n_offset)
-                assert d.reassemble() == lam
-                assert d.k >= max(-n_offset, 0)
-                assert len(d.right) <= d.k
-                assert all(x <= n_offset + d.k for x in d.below)
+                k, right, below = durfee_decompose(lam, n_offset)
+                assert _reassemble(n_offset, k, right, below) == lam
+                assert k >= max(-n_offset, 0)
+                assert len(right) <= k
+                assert all(x <= n_offset + k for x in below)
 
 
 @given(
@@ -162,8 +160,7 @@ def test_durfee_reassembles_exhaustively():
 @settings(max_examples=300)
 def test_durfee_reassembles_random(parts, n_offset):
     lam = tuple(sorted(parts, reverse=True))
-    d = durfee_decompose(lam, n_offset)
-    assert d.reassemble() == lam
+    assert _reassemble(n_offset, *durfee_decompose(lam, n_offset)) == lam
 
 
 def test_count_distinct_exactly_k_basics():
@@ -290,6 +287,5 @@ def test_window_bijection_generating_function():
             assert sum(counts.values()) == poly(1.0)
 
 
-def test_durfee_dataclass_reassemble_pads_zero_parts():
-    d = DurfeeDecomposition(n_offset=-3, k=5, right=(6, 6, 5, 1), below=(1, 1))
-    assert d.reassemble() == RUNNING_EXAMPLE
+def test_durfee_reassemble_pads_zero_parts():
+    assert _reassemble(-3, 5, (6, 6, 5, 1), (1, 1)) == RUNNING_EXAMPLE

@@ -7,6 +7,7 @@ infinite products.
 
 from fractions import Fraction
 import math
+import random
 
 import numpy as np
 import pytest
@@ -61,6 +62,41 @@ def test_pochhammer_finite_hand_values():
 def test_pochhammer_finite_negative_n_rejected():
     with pytest.raises(ValueError):
         pochhammer_finite(0.5, 0.5, -1)
+
+
+class _CountingQ(float):
+    """A q that counts the products taken with it and fails the test once
+    there are more than `limit` of them."""
+
+    def __new__(cls, value, limit):
+        self = super().__new__(cls, value)
+        self.products, self.limit = 0, limit
+        return self
+
+    def __rmul__(self, other):
+        self.products += 1
+        assert self.products <= self.limit, "still multiplying by 1.0"
+        return float(other) * float(self)
+
+
+@pytest.mark.parametrize("a", [0.5, -1.0, 3.0, 0.0])
+def test_pochhammer_finite_stops_once_every_factor_is_one(a):
+    # |a q^i| falls under 2^-53 within about 60 steps at q = 1/2; from there
+    # on every factor is exactly 1.0, so n = 10^12 costs no more than that
+    q = _CountingQ(0.5, limit=100)
+    assert pochhammer_finite(a, q, 10**12) == pochhammer_finite(a, 0.5, 100)
+
+
+def test_pochhammer_finite_stopping_keeps_the_bits():
+    rng = random.Random(11)
+    for _ in range(400):
+        a, q = rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.95)
+        n = rng.randrange(0, 1500)
+        full, aq = 1.0, a
+        for _ in range(n):
+            full *= 1.0 - aq
+            aq *= q
+        assert pochhammer_finite(a, q, n) == full
 
 
 def test_pochhammer_infinite_matches_fraction_oracle():

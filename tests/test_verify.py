@@ -6,8 +6,8 @@ import pytest
 from aseplab import verify
 from aseplab.cli import main
 from aseplab.partitions import (
-    DurfeeDecomposition,
     _decompose_valid,
+    _reassemble,
     count_partitions,
     durfee_decompose,
 )
@@ -173,20 +173,21 @@ class TestExactSuites:
     def test_durfee_exact_offsets(self):
         assert verify_durfee_exact(12, range(-3, 4)) == [True] * 7
 
-    @pytest.mark.parametrize("lam, n", [((3, 3), 0), ((1,), -2)],
-                             ids=["below-too-long", "k-below-k_lo"])
+    @pytest.mark.parametrize("lam, n, wrong", [
+        ((3, 3), 0, (1, (2,), (3,))),
+        ((1,), -2, (1, (2,), ())),
+        ((3, 3), 0, (1, (2, 2), ())),
+    ], ids=["below-too-long", "k-below-k_lo", "right-too-long"])
     def test_durfee_exact_rejects_misplaced_rectangle(self, monkeypatch, lam,
-                                                      n):
-        # a decomposition built one rectangle too small still reassembles
+                                                      n, wrong):
+        # a decomposition around a rectangle one too small still reassembles
         # into lam, so only the shape checks can reject it: at (3, 3), n = 0
-        # the first part below exceeds the side n + k; at (1,), n = -2 the
-        # index k falls under k_lo = 2
+        # the first part below exceeds the side n + k, or the right partition
+        # has more than k parts; at (1,), n = -2 the index k falls under
+        # k_lo = 2
         assert verify_durfee_exact(sum(lam), [n]) == [True]
-        k = durfee_decompose(lam, n).k - 1
-        side = n + k
-        wrong = DurfeeDecomposition(
-            n, k, tuple(x - side for x in lam[:k] if x > side), lam[k:])
-        assert wrong.reassemble() == lam
+        assert wrong[0] == durfee_decompose(lam, n)[0] - 1
+        assert _reassemble(n, *wrong) == lam
         monkeypatch.setattr(
             verify, "_decompose_valid",
             lambda lam_, n_: wrong if (lam_, n_) == (lam, n)
@@ -199,10 +200,10 @@ class TestExactSuites:
         # last below part, so it no longer reassembles; other offsets are
         # untouched
         def faulty(lam, n):
-            dec = _decompose_valid(lam, n)
-            if n == 2 and dec.below:
-                return dec._replace(below=dec.below[:-1])
-            return dec
+            k, right, below = _decompose_valid(lam, n)
+            if n == 2 and below:
+                below = below[:-1]
+            return k, right, below
 
         monkeypatch.setattr(verify, "_decompose_valid", faulty)
 
@@ -223,7 +224,7 @@ class TestExactSuites:
             "false" if n == 2 else "true" for n in range(-3, 4)]
 
     def test_durfee_exact_enumerates_and_validates_once(self, monkeypatch):
-        enumerated, validated, decomposed = [], [], []
+        enumerated, validated, decomposed, reassembled = [], [], [], []
 
         def counted(real, log):
             def wrapper(*args):
@@ -233,7 +234,8 @@ class TestExactSuites:
 
         for name, log in (("enumerate_partitions", enumerated),
                           ("as_partition", validated),
-                          ("_decompose_valid", decomposed)):
+                          ("_decompose_valid", decomposed),
+                          ("_reassemble", reassembled)):
             monkeypatch.setattr(verify, name,
                                 counted(getattr(verify, name), log))
         N = 12
@@ -243,6 +245,8 @@ class TestExactSuites:
         # each partition once, for all seven offsets
         assert len(validated) == len(set(validated)) == total
         assert len(decomposed) == len(set(decomposed)) == 7 * total
+        # and one reassembly per pair
+        assert len(reassembled) == len(set(reassembled)) == 7 * total
 
     def test_euler_exact(self):
         assert verify_euler_exact(12, 4)

@@ -17,7 +17,9 @@ brute-force oracle), so `aseplab verify` and `aseplab dist` never load it.
 """
 
 from collections import namedtuple
+from functools import reduce
 import math
+import operator
 
 from .partitions import SizeLimit
 from .qseries import (
@@ -115,18 +117,18 @@ class WindowState:
 
 
 class CountDist(namedtuple("CountDist", "n_min probs")):
-    """Distribution of an integer count on a contiguous support."""
+    """Distribution of an integer count on a contiguous support: probs[i]
+    is the probability of n_min + i."""
 
     __slots__ = ()
 
     @property
     def support(self):
-        import numpy as np
-        return np.arange(self.n_min, self.n_min + len(self.probs))
+        return range(self.n_min, self.n_min + len(self.probs))
 
     @property
     def total(self):
-        return float(self.probs.sum())
+        return reduce(operator.add, self.probs, 0.0)
 
     def prob(self, n):
         i = n - self.n_min
@@ -345,4 +347,4 @@ def brute_force_window_law(m1, m2, p):
     counts = bits.sum(axis=1)
     probs = np.zeros(mhat + 1)
     np.add.at(probs, counts, np.exp(logw))
-    return CountDist(n_min=0, probs=probs)
+    return CountDist(n_min=0, probs=tuple(probs.tolist()))

@@ -25,8 +25,7 @@ import itertools
 import math
 import operator
 
-from .blocking import (RelationCheck, WindowState, _log1p_qpow, draw_window,
-                       site_profile)
+from .blocking import RelationCheck, _log1p_qpow, draw_window, site_profile
 
 
 class LabelOutOfRange(ValueError):
@@ -45,27 +44,27 @@ def as_labels(x):
 class CoupledState:
     """Mutable engine state of the coupled chain.
 
-    The occupancies live in the bytearray `occ`; `xi.bits` is a numpy view
-    of that same buffer.  Construction copies the given window in, so the
-    caller's WindowState is never touched.  `positions` lists the site of
-    each labeled particle, in slot order; particles never pass each other,
-    so a site moves only with its particle's hop or its label's swap onto
-    the adjacent particle, by the same step.  `walls` lists, in increasing
-    order, the window indices k with occ[k] != occ[k-1]: the domain walls,
-    one per enabled particle hop.  A hop keeps its own bond a wall and
-    toggles only the two bonds beside it, so an event costs O(log walls + d)
-    Python steps rather than a walk over every wall.  Change the state only
-    through simulate, which keeps `occ`, `positions`, `walls` and `labels`
-    consistent and counts its probes where they change.  These fields are
-    all the state holds; it keeps no record of the probes.
+    The occupancies of the window sites `lo`..`hi` live in the bytearray
+    `occ`, the state's one copy of them.  Construction copies the given
+    window in, so the caller's WindowState is never touched.  `positions`
+    lists the site of each labeled particle, in slot order; particles never
+    pass each other, so a site moves only with its particle's hop or its
+    label's swap onto the adjacent particle, by the same step.  `walls`
+    lists, in increasing order, the window indices k with occ[k] !=
+    occ[k-1]: the domain walls, one per enabled particle hop.  A hop keeps
+    its own bond a wall and toggles only the two bonds beside it, so an
+    event costs O(log walls + d) Python steps rather than a walk over every
+    wall.  Change the state only through simulate, which keeps `occ`,
+    `positions`, `walls` and `labels` consistent and counts its probes where
+    they change.  These fields are all the state holds; it keeps no record
+    of the probes.
     """
 
     def __init__(self, xi, labels):
-        import numpy as np
         self.labels = as_labels(labels)
-        lo, hi = xi.lo, xi.hi
+        lo = self.lo = xi.lo
+        self.hi = xi.hi
         occ = self.occ = bytearray(xi.bits.tobytes())
-        self.xi = WindowState(lo, hi, np.frombuffer(occ, dtype=np.uint8))
         occupied = [lo + i for i, b in enumerate(occ) if b]
         self.walls = [k for k in range(1, len(occ)) if occ[k] != occ[k - 1]]
         if self.labels and self.labels[-1] >= len(occupied):
@@ -104,7 +103,7 @@ def _label_moves(s, q):
     window site next to its own if that particle is unlabeled."""
     codes, rates = [], []
     occ, positions = s.occ, s.positions
-    lo, n = s.xi.lo, len(occ)
+    lo, n = s.lo, len(occ)
     for slot, site in enumerate(positions):
         i = site - lo
         if i + 1 < n and occ[i + 1] and site + 1 not in positions:
@@ -389,7 +388,7 @@ def simulate(state, p, T, rng, probes=10, margin=5):
     the position vectors' counts at T.
     """
     import numpy as np
-    lo, hi = state.xi.lo, state.xi.hi
+    lo, hi = state.lo, state.hi
     d = len(state.labels)
     probe_times = _probe_times(T, probes)
     rep = SimulationReport(lo, hi, d, p.q, p.c, T, probe_times,

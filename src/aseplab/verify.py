@@ -167,17 +167,11 @@ def verify_euler(q, z, tol=DEFAULT_TOL):
 def _z_coefficients(n_factors, max_k):
     """Integer q-polynomial coefficients of z^0 .. z^min(n_factors, max_k)
     in prod_{i=0}^{n_factors-1} (1 + z q^i), by z-degree."""
+    zero = IntPoly()
     cur = [IntPoly.one()]
     for i in range(0, n_factors):
-        new = []
-        for k in range(0, min(len(cur), max_k) + 1):
-            poly = IntPoly([])
-            if k < len(cur):
-                poly = poly + cur[k]
-            if k >= 1:
-                poly = poly + cur[k - 1].shift(i)
-            new.append(poly)
-        cur = new
+        cur = [a + b.shift(i)
+               for a, b in zip(cur + [zero], [zero] + cur)][:max_k + 1]
     return cur
 
 
@@ -186,23 +180,18 @@ def verify_euler_exact(N, K):
     checked against two partition counts: staircase-shifted box partitions
     and partitions into distinct nonnegative parts."""
     # z-degrees above N + 1 have no term and are not listed
-    fewer = [0] * (N + 1)  # k - 1 distinct positive parts; none at k = 0
+    fewer = IntPoly()  # k - 1 distinct positive parts; none at k = 0
     for k, poly in enumerate(_z_coefficients(N + 1, K)):
-        deg = poly.degree if poly.coeffs else 0
         stair = k * (k - 1) // 2
-        boxes = bounded_counts(max(deg - stair, 0), k, N - k + 1)
+        boxes = bounded_counts(poly.degree - stair, k, N - k + 1)
         # k distinct positive parts summing to n <= N are all at most N
-        exactly = distinct_bounded_counts(N, k, N)
-        for n in range(0, deg + 1):
-            c = poly.coeff(n)
-            boxed = boxes[n - stair] if n >= stair else 0
-            if c != boxed:
-                return False
-            # up to q^N the truncated product agrees with the infinite one,
-            # whose z^k q^n coefficient counts k distinct parts >= 0: either
-            # all positive or a zero part plus k-1 positive
-            if n <= N and c != exactly[n] + fewer[n]:
-                return False
+        exactly = IntPoly(distinct_bounded_counts(N, k, N))
+        # up to q^N the truncated product agrees with the infinite one,
+        # whose z^k q^n coefficient counts k distinct parts >= 0: either
+        # all positive or a zero part plus k-1 positive
+        if (poly != IntPoly(boxes).shift(stair)
+                or IntPoly(poly.coeffs[:N + 1]) != exactly + fewer):
+            return False
         fewer = exactly
     return True
 
@@ -237,17 +226,13 @@ def verify_qbinomial_exact(m):
     """z-degree k coefficient of prod_{i=0}^{m-1} (1 + z q^i) equals
     q^{k(k-1)/2} qbinom(m,k) as integer polynomials, and its q-coefficients
     count partitions into k distinct parts from {1..m}."""
-    cur = _z_coefficients(m, m)
     row = qbinomial_row(m)
-    for k in range(0, m + 1):
-        expect = row[k].shift(k * (k - 1) // 2)
-        if cur[k] != expect:
+    for k, poly in enumerate(_z_coefficients(m, m)):
+        # adding 1 to each of k distinct parts from {0..m-1} shifts by q^k
+        if (poly != row[k].shift(k * (k - 1) // 2)
+                or poly.shift(k) != IntPoly(
+                    distinct_bounded_counts(poly.degree + k, k, m))):
             return False
-        deg = cur[k].degree if cur[k].coeffs else 0
-        distinct = distinct_bounded_counts(deg + k, k, m)
-        for t in range(0, deg + 1):
-            if cur[k].coeff(t) != distinct[t + k]:
-                return False
     return True
 
 

@@ -257,7 +257,7 @@ def one_event(state, p, u):
         assert not slots and len(sites) == 2 and sites[1] == sites[0] + 1, sites
         i = sites[0]
         step = 1 if occ[i] else -1
-        move = Move("particle", state.xi.lo + i + (step < 0), step)
+        move = Move("particle", state.lo + i + (step < 0), step)
     else:
         slot, = slots
         move = Move("label", slot, state.labels[slot] - labels[slot])
@@ -291,10 +291,10 @@ def assert_one_event(o, p, u, tr, total):
 def assert_consistent(s):
     """The CoupledState's sites of the labeled particles and its ordered
     domain walls are the ones its occupancy bits and labels give."""
-    bits = s.xi.bits
-    assert s.positions == (np.flatnonzero(bits) + s.xi.lo)[list(s.labels)].tolist()
+    bits = np.array(s.occ)
+    assert len(bits) == s.hi - s.lo + 1
+    assert s.positions == (np.flatnonzero(bits) + s.lo)[list(s.labels)].tolist()
     assert s.walls == (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
-    assert bytes(bits) == bytes(s.occ)
 
 
 def assert_same_report(a, b):

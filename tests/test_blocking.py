@@ -719,6 +719,14 @@ def test_count_dist_and_relation_check_reject_assignment():
     assert chk.rel_dev == 0.5
 
 
+def test_count_dist_compares_by_value():
+    p = AsepParams(0.5)
+    a, b = brute_force_window_law(-3, 3, p), brute_force_window_law(-3, 3, p)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != brute_force_window_law(-3, 3, AsepParams(0.25))
+    assert type(a.probs) is tuple and {type(x) for x in a.probs} == {float}
+
+
 def test_count_dist_accessors():
     d = CountDist(n_min=-1, probs=np.array([0.25, 0.5, 0.25]))
     assert d.prob(-1) == 0.25

@@ -522,6 +522,25 @@ def test_euler_suite_catches_one_bounded_count_off_by_one(monkeypatch):
     assert not verify.verify_euler_exact(12, 5)
 
 
+@pytest.mark.parametrize("power", [1, -1], ids=["q1", "top"])
+def test_euler_and_qbinomial_suites_catch_one_bumped_z_coefficient(
+        monkeypatch, power):
+    assert verify.verify_euler_exact(12, 5)
+    assert verify.verify_qbinomial_exact(7)
+    real = verify._z_coefficients
+
+    def bumped(n_factors, max_k):
+        cur = real(n_factors, max_k)
+        coeffs = list(cur[2].coeffs)
+        coeffs[power] += 1
+        cur[2] = IntPoly(coeffs)
+        return cur
+
+    monkeypatch.setattr(verify, "_z_coefficients", bumped)
+    assert not verify.verify_euler_exact(12, 5)
+    assert not verify.verify_qbinomial_exact(7)
+
+
 def test_durfee_suite_catches_one_dropped_below_part(monkeypatch):
     assert verify.verify_durfee_exact(10, [-1]) == [True]
     real = verify._decompose_valid
@@ -582,3 +601,17 @@ def test_euler_suite_catches_one_bumped_distinct_count(monkeypatch):
 
     monkeypatch.setattr(verify, "distinct_bounded_counts", bumped)
     assert not verify.verify_euler_exact(12, 5)
+
+
+def test_qbinomial_suite_catches_one_bumped_distinct_count(monkeypatch):
+    assert verify.verify_qbinomial_exact(7)
+    real = verify.distinct_bounded_counts
+
+    def bumped(n_max, k, m):
+        table = real(n_max, k, m)
+        if k == 3:
+            table[7] += 1
+        return table
+
+    monkeypatch.setattr(verify, "distinct_bounded_counts", bumped)
+    assert not verify.verify_qbinomial_exact(7)

@@ -82,12 +82,17 @@ def stationary_state(p, d, window, rng, eps):
     return CoupledState(sample_blocking(window, p, rng, eps=eps), sample_pi(d, p.q, rng))
 
 
+def window_of(s):
+    """A copy of the state's xi-configuration as a WindowState."""
+    return WindowState(s.lo, s.hi, np.array(s.occ))
+
+
 def eta_of(s):
     """The first-class configuration: xi with the labeled particles removed."""
-    bits = s.xi.bits.copy()
+    eta = window_of(s)
     for site in s.positions:
-        bits[site - s.xi.lo] = 0
-    return WindowState(s.xi.lo, s.xi.hi, bits)
+        eta.bits[site - s.lo] = 0
+    return eta
 
 
 P5 = AsepParams(q=0.5, c=0.0)
@@ -135,7 +140,8 @@ class TestLabelMapping:
     @staticmethod
     def ranks(s, X):
         """The rank, from the leftmost, of the particle at each site of X."""
-        return tuple(s.xi.sites[s.xi.bits == 1].tolist().index(x) for x in X)
+        occupied = [s.lo + i for i, b in enumerate(s.occ) if b]
+        return tuple(occupied.index(x) for x in X)
 
     def test_positions(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
@@ -151,14 +157,14 @@ class TestLabelMapping:
         remaining = tuple(eta.sites[eta.bits == 1])
         assert remaining == (-7, -4, 5, 8, 9, 10)
         # xi untouched
-        assert s.xi.particle_count() == 11
+        assert sum(s.occ) == 11
 
     def test_conserved_N_offset(self):
         s = state_from_sites(-10, 10, self.OCC, self.LAB)
         eta = eta_of(s)
-        assert s.xi.conserved_N() == -1
+        assert window_of(s).conserved_N() == -1
         assert eta.conserved_N() == 4
-        assert s.xi.conserved_N() == eta.conserved_N() - len(self.LAB)
+        assert window_of(s).conserved_N() == eta.conserved_N() - len(self.LAB)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(8)
@@ -250,7 +256,7 @@ class TestTransitionTable:
         u = midpoint_draw(oracle_enabled_transitions(o, P5), tr)
         assert one_event(s, P5, u)[0] == tr
         assert s.labels == (0,)
-        assert np.array_equal(s.xi.bits, o.xi.bits)
+        assert list(s.occ) == o.xi.bits.tolist()
 
 
 class TestGillespie:
@@ -282,7 +288,7 @@ class TestGillespie:
         p = AsepParams(q=0.5, c=0.0)
         rng, want_rng = RecordingRng(21), RecordingRng(21)
         s = stationary_state(p, 2, (-12, 12), rng, eps=1e-3)
-        start = OracleState(xi=s.xi.copy(), labels=s.labels)
+        start = OracleState(xi=window_of(s), labels=s.labels)
         rep = simulate(s, p, 150.0, rng, probes=50)
         _, log = oracle_simulate_stationary(p, 2, (-12, 12), 150.0, want_rng,
                                             probes=50, eps=1e-3)
@@ -527,9 +533,10 @@ class TestStateValidation:
     def test_copy_isolated(self):
         # a state built from another's window copies it
         s = state_from_sites(0, 4, (1, 3), (0,))
-        s2 = CoupledState(xi=s.xi, labels=s.labels)
-        s2.xi.bits[0] = 1
-        assert s.xi.bits[0] == 0
+        xi = window_of(s)
+        s2 = CoupledState(xi=xi, labels=s.labels)
+        s2.occ[0] = 1
+        assert xi.bits[0] == 0 and s.occ[0] == 0
 
 
 class TestSimulation:

@@ -194,7 +194,7 @@ def test_construction_copies_the_window():
     # the first of the six moves, the hop of the particle at -2 to the left
     assert one_event(s, AsepParams(q=0.5), 0.0)[0] == Move("particle", -2, -1)
     assert xi.bits.tolist() == [0, 1, 1, 0, 1, 0, 1, 1]
-    assert s.xi.bits.tolist() == [1, 0, 1, 0, 1, 0, 1, 1]
+    assert list(s.occ) == [1, 0, 1, 0, 1, 0, 1, 1]
     assert_consistent(s)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 import re
 
 import pytest
@@ -11,7 +12,7 @@ from aseplab.partitions import (
     count_partitions,
     durfee_decompose,
 )
-from aseplab.qseries import pochhammer_finite, pochhammer_infinite
+from aseplab.qseries import IntPoly, pochhammer_finite, pochhammer_infinite
 from aseplab.verify import (
     IdentityReport,
     verify_durfee,
@@ -262,3 +263,17 @@ class TestExactSuites:
     def test_qbinomial_exact(self):
         for m in range(0, 9):
             assert verify_qbinomial_exact(m)
+
+    def test_z_coefficients_are_subset_sums(self):
+        # the z^k coefficient of prod_{i<n} (1 + z q^i) is the sum of
+        # q^{sum S} over the k-subsets S of {0..n-1}; the list stops at
+        # z^min(n, max_k)
+        for n in range(0, 11):
+            want = []
+            for k in range(0, n + 1):
+                coeffs = [0] * (n * n + 1)
+                for subset in itertools.combinations(range(n), k):
+                    coeffs[sum(subset)] += 1
+                want.append(IntPoly(coeffs))
+            for max_k in range(0, n + 2):
+                assert verify._z_coefficients(n, max_k) == want[:max_k + 1]
